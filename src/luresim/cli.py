@@ -1,7 +1,7 @@
 """Command-line front end: certify, simulate and analyze scenario files.
 
 Exit codes: 0 success, 2 on validation or hypothesis failure (including a
-failed rate report), 3 on solver divergence. The environment variable
+failed rate report and a non-finite drift), 3 on solver divergence. The environment variable
 ``LURE_STEP_TOL`` overrides the step-solver tolerance.
 """
 

@@ -65,6 +65,23 @@ class SolverDiverged(LureError):
         self.partial = partial
 
 
+class NonFiniteDrift(LureError):
+    """The drift returned NaN or an infinity during a simulation.
+
+    Attributes
+    ----------
+    step_index : int
+        Index of the step whose drift-advanced input is not finite.
+    t : float
+        Time at which the drift was evaluated.
+    """
+
+    def __init__(self, message, step_index, t):
+        super().__init__(message)
+        self.step_index = step_index
+        self.t = t
+
+
 class NoSolution(LureError):
     """Exhaustive enumeration found no feasible activity pattern."""
 

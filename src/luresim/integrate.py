@@ -19,14 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sets
-from .errors import NoSolution, NotAdmissible, SolverDiverged
+from .errors import NoSolution, NonFiniteDrift, NotAdmissible, SolverDiverged
 from .moving import admissible, hypomonotonicity_gap, lipschitz_constants
-from .step import (
-    SolverOptions,
-    box_vi_enumerate,
-    solve_static_multiplier,
-    solve_step,
-)
+from .step import SolverOptions, _advance, _StepPlan, solve_static_multiplier
 from .system import canonicalize
 
 __all__ = ["Trajectory", "from_csv", "richardson_refine", "simulate", "to_csv"]
@@ -58,18 +53,9 @@ def _initial_multiplier(sys, x0, opts):
     """Multiplier of the stationary inclusion at (0, x0); zero if unsolvable."""
     k0 = sys.K.at(0.0, x0)
     try:
-        mu, w, iters = solve_static_multiplier(k0, sys.C, sys.D, x0, opts, sys.cert.c1)
-        res = sets.normal_cone_residual(k0, sys.C @ x0 - sys.D @ mu, mu)
-        return mu, res, iters
+        mu, _, iters = solve_static_multiplier(k0, sys.C, sys.D, x0, opts, sys.cert.c1)
+        return mu, sets.normal_cone_residual(k0, sys.C @ x0 - sys.D @ mu, mu), iters
     except (SolverDiverged, NoSolution):
-        box = sets.as_box(k0)
-        if box is not None and sys.m <= 8:
-            try:
-                mu, _, examined = box_vi_enumerate(sys.D, sys.C @ x0, box[0], box[1])
-                res = sets.normal_cone_residual(k0, sys.C @ x0 - sys.D @ mu, mu)
-                return mu, res, examined
-            except NoSolution:
-                pass
         mu = np.zeros(sys.m)
         return mu, sets.normal_cone_residual(k0, sys.C @ x0, mu), 0
 
@@ -92,6 +78,8 @@ def simulate(sys, x0, t_final, n_steps, opts=None):
     ------
     NotAdmissible
         If the initial state decisively fails the admissibility test.
+    NonFiniteDrift
+        If the drift-advanced input of a step is NaN or infinite.
     SolverDiverged
         If an inner solve fails; the exception carries the step index and
         the partial trajectory accumulated so far.
@@ -106,16 +94,12 @@ def simulate(sys, x0, t_final, n_steps, opts=None):
     n_steps = int(n_steps)
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
-    if not opts.force:
-        try:
-            ok = admissible(sys.K, sys, x0, opts)
-        except SolverDiverged:
-            ok = None  # undetermined: do not block the run
-        if ok is False:
-            raise NotAdmissible(
-                "initial state admits no stationary multiplier; "
-                "use opts.force to integrate anyway"
-            )
+    # an undetermined verdict (None) does not block the run
+    if not opts.force and admissible(sys.K, sys, x0, opts) is False:
+        raise NotAdmissible(
+            "initial state admits no stationary multiplier; "
+            "use opts.force to integrate anyway"
+        )
     h = t_final / n_steps
     times = np.arange(n_steps + 1) * h
     canon = canonicalize(sys)
@@ -136,11 +120,17 @@ def simulate(sys, x0, t_final, n_steps, opts=None):
     xt = canon.to_canonical(x0)
     kappa = csys.kappa
     drift = csys.drift
+    plan = _StepPlan(csys, h)
     for i in range(n_steps):
         y_in = xt + h * drift(times[i], xt) - (h * kappa) * xt
         try:
-            step = solve_step(csys, times[i + 1], xt, y_in, h, opts)
+            step = _advance(plan, times[i + 1], xt, y_in, opts)
         except SolverDiverged as exc:
+            if not np.all(np.isfinite(y_in)):
+                raise NonFiniteDrift(
+                    f"drift is not finite at step {i} (t = {times[i]:g})",
+                    step_index=i, t=float(times[i]),
+                ) from exc
             exc.step_index = i
             exc.partial = _assemble(
                 sys, times[: i + 1], states[: i + 1], mus[: i + 1], ws[: i + 1],

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import sets
-from .errors import NoSolution
+from .errors import NoSolution, SolverDiverged
 from .linalg import spectral_norm
 from .step import (
     SolverOptions,
@@ -167,9 +167,8 @@ def admissible(ms, sys, x0, opts=None):
     """Decide whether the static inclusion at (0, x0) has a multiplier.
 
     For box-shaped sets with few coordinates the decision is exact (pattern
-    enumeration); otherwise the iterative solver is consulted and a failure
-    to converge raises SolverDiverged, meaning "undetermined" rather than
-    inadmissible.
+    enumeration); otherwise the iterative solver is consulted, and a failure
+    to converge returns None: "undetermined" rather than inadmissible.
     """
     if opts is None:
         opts = SolverOptions()
@@ -191,7 +190,10 @@ def admissible(ms, sys, x0, opts=None):
             return True
         except NoSolution:
             return False
-    solve_static_multiplier(k0, sys.C, sys.D, x0, opts, c1=None)
+    try:
+        solve_static_multiplier(k0, sys.C, sys.D, x0, opts, c1=None)
+    except SolverDiverged:
+        return None
     return True
 
 

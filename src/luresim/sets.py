@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.optimize import linprog, lsq_linear
 
 from .errors import (
     DimensionMismatch,
@@ -40,6 +39,19 @@ __all__ = [
     "support_point",
     "whole_space",
 ]
+
+
+_optimize = None
+
+
+def _scipy_optimize():
+    """scipy.optimize, imported on first use: only polyhedra need it."""
+    global _optimize
+    if _optimize is None:
+        import scipy.optimize
+
+        _optimize = scipy.optimize
+    return _optimize
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,6 +84,9 @@ class Polyhedron:
     b: np.ndarray
 
     def __post_init__(self):
+        # pay the scipy.optimize import when the set is built, not when it
+        # is first projected
+        _scipy_optimize()
         a = np.asarray(self.a, dtype=float)
         b = np.asarray(self.b, dtype=float).reshape(-1)
         if a.ndim != 2:
@@ -162,8 +177,10 @@ def _ldp_attempt(an, h, p, disp_scale, max_iter):
     e = np.vstack([-an.T, (h / disp_scale)[None, :]])
     f = np.zeros(m + 1)
     f[m] = 1.0
-    res = lsq_linear(e, f, bounds=(0.0, np.inf), method="bvls", tol=1e-14,
-                     max_iter=max_iter * (e.shape[1] + 1))
+    res = _scipy_optimize().lsq_linear(
+        e, f, bounds=(0.0, np.inf), method="bvls", tol=1e-14,
+        max_iter=max_iter * (e.shape[1] + 1),
+    )
     r = e @ res.x - f
     if r[m] >= -1e-9:
         return None
@@ -202,8 +219,8 @@ def _project_polyhedron(s, p, tol=1e-12):
     # the reduction degenerates both when the set is empty and when the
     # projection is much farther than the worst signed distance; settle it
     # with an exact feasibility program, then retry at the right scale
-    lp = linprog(np.zeros(m), A_ub=an, b_ub=bn, bounds=[(None, None)] * m,
-                 method="highs")
+    lp = _scipy_optimize().linprog(np.zeros(m), A_ub=an, b_ub=bn,
+                                   bounds=[(None, None)] * m, method="highs")
     if lp.status == 2:
         raise EmptySet("polyhedron is empty")
     if not lp.success:
@@ -344,8 +361,9 @@ def support_point(s, d):
     if isinstance(s, Translate):
         return support_point(s.base, d) + s.offset
     if isinstance(s, Polyhedron):
-        res = linprog(-d, A_ub=s.a, b_ub=s.b, bounds=[(None, None)] * d.size,
-                      method="highs")
+        res = _scipy_optimize().linprog(-d, A_ub=s.a, b_ub=s.b,
+                                        bounds=[(None, None)] * d.size,
+                                        method="highs")
         if res.status == 3:
             raise Unbounded("polyhedron unbounded in the requested direction")
         if res.status == 2:

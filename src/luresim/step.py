@@ -14,13 +14,16 @@ state equation reduces the step to a variational inequality in the multiplier:
 For box-shaped K the inclusion is solved by a semismooth Newton method on the
 residual map mu -> w - clamp(w + mu), which is the multiplier block of the
 full (x, mu) residual after exact elimination of the state block. A damped
-fixed-point sweep serves as fallback. Polyhedral K is handled by active-set
-enumeration over the constraint rows.
+fixed-point sweep serves as fallback, and exact face enumeration after that
+when m <= 8. Polyhedral K is handled by active-set enumeration over the
+constraint rows. M, like the other per-step constants, depends only on the
+system and h; simulate computes them once per run.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -84,6 +87,11 @@ class StepResult:
     iterations: int = 0
 
 
+def _norm(v):
+    # np.linalg.norm's own formula for a 1-D float vector, minus its overhead
+    return math.sqrt(v.dot(v))
+
+
 def _box_residual(m_mat, q, lower, upper, mu):
     w = q - m_mat @ mu
     return w - np.clip(w + mu, lower, upper), w
@@ -113,15 +121,20 @@ def inner_solve_box(m_mat, q, box, opts=None, c1=None, d_norm=None):
     m_mat = np.asarray(m_mat, dtype=float)
     if m_mat.shape != (m_dim, m_dim):
         raise DimensionMismatch("M must be square and match q")
-    lower, upper = box.lower, box.upper
-    if lower.size != m_dim:
+    if box.lower.size != m_dim:
         raise DimensionMismatch("box dimension mismatch")
+    return _newton_box(m_mat, q, box.lower, box.upper, opts, c1, d_norm)
+
+
+def _newton_box(m_mat, q, lower, upper, opts, c1, d_norm):
+    """Body of :func:`inner_solve_box` on validated arrays and bounds."""
+    m_dim = q.size
     # converge below the stored tolerance so residuals recomputed from
     # x_next stay under opts.tol after rounding
     tol = 0.5 * opts.tol
     mu = np.zeros(m_dim)
     f, w = _box_residual(m_mat, q, lower, upper, mu)
-    nf = float(np.linalg.norm(f))
+    nf = _norm(f)
     best_mu, best_nf = mu.copy(), nf
     iterations = 0
     eye = np.eye(m_dim)
@@ -143,7 +156,7 @@ def inner_solve_box(m_mat, q, box, opts=None, c1=None, d_norm=None):
         for _ in range(30):
             cand = mu + step_len * delta
             fc, wc = _box_residual(m_mat, q, lower, upper, cand)
-            nfc = float(np.linalg.norm(fc))
+            nfc = _norm(fc)
             if nfc < nf or nfc <= tol:
                 mu, f, w, nf = cand, fc, wc, nfc
                 improved = True
@@ -160,14 +173,14 @@ def inner_solve_box(m_mat, q, box, opts=None, c1=None, d_norm=None):
     rho = min(1.0, (c1 if c1 is not None else 1.0) / (1.0 + d_norm * d_norm))
     mu = best_mu.copy()
     f, w = _box_residual(m_mat, q, lower, upper, mu)
-    nf = float(np.linalg.norm(f))
+    nf = _norm(f)
     for _ in range(opts.max_fallback):
         iterations += 1
         if nf <= tol:
             return mu, w, iterations
         cand = mu + rho * f
         fc, wc = _box_residual(m_mat, q, lower, upper, cand)
-        nfc = float(np.linalg.norm(fc))
+        nfc = _norm(fc)
         if nfc >= nf:
             rho *= 0.5
             if rho < 1e-8:
@@ -232,23 +245,58 @@ def _poly_vi_enumerate(a, b, m_mat, q, tol):
     return best[1], best[2], examined
 
 
-def _solve_multiplier(k_set, m_mat, q, opts, c1=None, d_norm=None):
-    """Dispatch the multiplier inclusion by set shape."""
-    box = sets.as_box(k_set)
-    if box is not None:
-        return inner_solve_box(m_mat, q, sets.Box(box[0], box[1]), opts, c1, d_norm)
+def _solve_box(m_mat, q, lower, upper, opts, c1, d_norm):
+    """Newton on the box inclusion; exact face enumeration if it stalls at m <= 8."""
+    try:
+        return _newton_box(m_mat, q, lower, upper, opts, c1, d_norm)
+    except SolverDiverged as exc:
+        # the bounds come from as_box unvalidated; a translation that
+        # overflows a bound to an empty interval can only end up here
+        sets.Box(lower, upper)
+        if q.size <= 8:
+            try:
+                return box_vi_enumerate(m_mat, q, lower, upper)
+            except NoSolution:
+                pass
+        raise exc
+
+
+def _solve_poly(k_set, m_mat, q, opts):
+    """Active-set enumeration for a (translated) polyhedron."""
     poly = _unwrap_polyhedron(k_set)
     if poly is None:
         raise TypeError(f"unsupported set type: {type(k_set).__name__}")
     base, offset = poly
     # shift the offset into b: A(w - offset) <= b becomes A w <= b + A offset
     try:
-        mu, w_val, examined = _poly_vi_enumerate(
+        return _poly_vi_enumerate(
             base.a, base.b + base.a @ offset, m_mat, q, max(opts.tol, 1e-12)
         )
     except NoSolution as exc:
         raise SolverDiverged(str(exc)) from exc
-    return mu, w_val, examined
+
+
+class _StepPlan:
+    """Step invariants of one ``(system, h)``: the reduced matrix and friends.
+
+    ``simulate`` builds one per run; :func:`solve_step` builds one per call.
+    """
+
+    __slots__ = ("sys", "h", "denom", "m_mat", "c1", "d_norm", "proj")
+
+    def __init__(self, sys, h):
+        if h <= MIN_STEP:
+            raise StepTooSmall(f"step size {h:g} at or below {MIN_STEP:g}")
+        denom = 1.0 - h * sys.kappa
+        if denom <= 1e-12:
+            raise StepTooLarge(f"1 - h*kappa = {denom:g} not positive")
+        self.sys = sys
+        self.h = h
+        self.denom = denom
+        self.m_mat = (h / denom) * (sys.C @ sys.B) + sys.D
+        self.c1 = sys.cert.c1 if sys.cert is not None else None
+        self.d_norm = float(np.linalg.norm(sys.D, 2)) if sys.D.size else 0.0
+        self.proj = range_projector(sys.D + sys.D.T)
 
 
 def solve_step(sys, t_next, x_prev, y_in, h, opts=None):
@@ -277,27 +325,32 @@ def solve_step(sys, t_next, x_prev, y_in, h, opts=None):
     """
     if opts is None:
         opts = SolverOptions()
-    if h <= MIN_STEP:
-        raise StepTooSmall(f"step size {h:g} at or below {MIN_STEP:g}")
-    denom = 1.0 - h * sys.kappa
-    if denom <= 1e-12:
-        raise StepTooLarge(f"1 - h*kappa = {denom:g} not positive")
+    plan = _StepPlan(sys, h)
     x_prev = np.asarray(x_prev, dtype=float).reshape(-1)
     y_in = np.asarray(y_in, dtype=float).reshape(-1)
     if x_prev.size != sys.n or y_in.size != sys.n:
         raise DimensionMismatch("state dimension mismatch in step")
+    return _advance(plan, t_next, x_prev, y_in, opts)
+
+
+def _advance(plan, t_next, x_prev, y_in, opts):
+    """One step on validated 1-D float states; see :func:`solve_step`."""
+    sys = plan.sys
+    h, denom = plan.h, plan.denom
     k_set = sys.K.at(t_next, x_prev)
     q = (sys.C @ y_in) / denom
-    m_mat = (h / denom) * (sys.C @ sys.B) + sys.D
-    c1 = sys.cert.c1 if sys.cert is not None else None
-    d_norm = float(np.linalg.norm(sys.D, 2)) if sys.D.size else 0.0
-    mu, _, iterations = _solve_multiplier(k_set, m_mat, q, opts, c1, d_norm)
-    mu = _minimal_norm_polish(sys, k_set, m_mat, q, mu, opts.tol)
-    x_next = (y_in - h * (sys.B @ mu)) / denom
+    box = sets.as_box(k_set)
+    if box is None:
+        mu, _, iterations = _solve_poly(k_set, plan.m_mat, q, opts)
+    else:
+        mu, _, iterations = _solve_box(
+            plan.m_mat, q, box[0], box[1], opts, plan.c1, plan.d_norm
+        )
+    mu = _minimal_norm_polish(plan, k_set, box, q, mu, opts.tol)
+    b_mu = sys.B @ mu
+    x_next = (y_in - h * b_mu) / denom
     w = sys.C @ x_next - sys.D @ mu
-    state_res = float(
-        np.linalg.norm(denom * x_next + h * (sys.B @ mu) - y_in)
-    ) / (1.0 + float(np.linalg.norm(y_in)))
+    state_res = _norm(denom * x_next + h * b_mu - y_in) / (1.0 + _norm(y_in))
     cone_res = sets.normal_cone_residual(k_set, w, mu)
     return StepResult(
         x_next=x_next,
@@ -309,7 +362,7 @@ def solve_step(sys, t_next, x_prev, y_in, h, opts=None):
     )
 
 
-def _minimal_norm_polish(sys, k_set, m_mat, q, mu, tol):
+def _minimal_norm_polish(plan, k_set, box, q, mu, tol):
     """Project mu onto rge(D + D^T) when doing so preserves both residuals.
 
     When the step solution is non-unique the ambiguity lives in
@@ -317,21 +370,19 @@ def _minimal_norm_polish(sys, k_set, m_mat, q, mu, tol):
     least-norm multiplier, which is the one the theory works with. The
     projection is only adopted if the cone residual survives at tolerance
     (it cannot survive when the kernel component is structurally forced, e.g.
-    D = 0 with an active constraint).
+    D = 0 with an active constraint). ``box`` is ``sets.as_box(k_set)``.
     """
-    proj = range_projector(sys.D + sys.D.T)
-    mu_r = proj @ mu
-    if np.allclose(mu_r, mu, rtol=0.0, atol=1e-30):
+    mu_r = plan.proj @ mu
+    if (np.abs(mu_r - mu) <= 1e-30).all():
         return mu
-    if float(np.linalg.norm(sys.B @ (mu - mu_r))) > 0.25 * tol:
+    if _norm(plan.sys.B @ (mu - mu_r)) > 0.25 * tol:
         return mu
-    box = sets.as_box(k_set)
     if box is not None:
-        f, _ = _box_residual(m_mat, q, box[0], box[1], mu_r)
-        if float(np.linalg.norm(f)) <= 0.5 * tol:
+        f, _ = _box_residual(plan.m_mat, q, box[0], box[1], mu_r)
+        if _norm(f) <= 0.5 * tol:
             return mu_r
         return mu
-    w_r = q - m_mat @ mu_r
+    w_r = q - plan.m_mat @ mu_r
     if sets.normal_cone_residual(k_set, w_r, mu_r) <= 0.5 * tol:
         return mu_r
     return mu
@@ -347,8 +398,11 @@ def solve_static_multiplier(k_set, c_mat, d_mat, x0, opts=None, c1=None):
     if opts is None:
         opts = SolverOptions()
     q = c_mat @ np.asarray(x0, dtype=float).reshape(-1)
+    box = sets.as_box(k_set)
+    if box is None:
+        return _solve_poly(k_set, d_mat, q, opts)
     d_norm = float(np.linalg.norm(d_mat, 2)) if d_mat.size else 0.0
-    return _solve_multiplier(k_set, d_mat, q, opts, c1, d_norm)
+    return _solve_box(d_mat, q, box[0], box[1], opts, c1, d_norm)
 
 
 def box_vi_enumerate(m_mat, q, lower, upper, tol=1e-9):

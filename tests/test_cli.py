@@ -151,6 +151,46 @@ def test_failed_report_maps_to_exit_2(monkeypatch, capsys):
     assert '"pass": false' in capsys.readouterr().out
 
 
+def test_check_reports_undetermined_admissibility_and_exits_0(
+        tmp_path, monkeypatch, capsys):
+    import luresim.cli as cli
+    from luresim import moving
+    from luresim.errors import SolverDiverged
+
+    # m = 9 is past the exact box enumeration, so the iterative solver
+    # decides admissibility
+    eye = np.eye(9).tolist()
+    scenario = {
+        "name": "nine", "n": 9, "m": 9,
+        "A": np.zeros((9, 9)).tolist(), "B": eye, "C": eye, "D": eye,
+        "set": {"lower": [-1.0] * 9, "upper": [1.0] * 9},
+        "x0": [0.0] * 9, "T": 1.0, "n_steps": 10,
+    }
+    path = _write_json(tmp_path, "nine.json", scenario)
+
+    def give_up(*args, **kwargs):
+        raise SolverDiverged("stalled", residual=1.0)
+
+    monkeypatch.setattr(moving, "solve_static_multiplier", give_up)
+    assert cli.main(["check", path]) == 0
+    assert "admissibility of x0: undetermined" in capsys.readouterr().out
+
+
+def test_non_finite_drift_maps_to_exit_2(monkeypatch, capsys):
+    import luresim.cli as cli
+    from luresim.errors import NonFiniteDrift
+
+    def nan_drift(*args, **kwargs):
+        raise NonFiniteDrift("drift is not finite at step 6 (t = 0.06)",
+                             step_index=6, t=0.06)
+
+    monkeypatch.setattr(cli, "simulate", nan_drift)
+    assert cli.main(["simulate", scenario_path("example_thm4.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: drift is not finite at step 6")
+    assert "solver diverged" not in err
+
+
 def test_lipdep_reports_rate():
     res = run_cli("lipdep", scenario_path("example_thm4.json"),
                   "--x0b", "0.6,-0.2")

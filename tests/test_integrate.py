@@ -1,5 +1,6 @@
 """Catching-up integration: closed forms, invariants, diagnostics, CSV."""
 
+import hashlib
 import io
 
 import numpy as np
@@ -16,9 +17,29 @@ from luresim import (
     make_system,
     richardson_refine,
     simulate,
+    solve_step,
     to_csv,
 )
-from luresim.errors import NotAdmissible, SolverDiverged
+from luresim.errors import NonFiniteDrift, NotAdmissible, SolverDiverged
+
+# sha256 of to_csv for every bundled scenario, as recorded before the step
+# invariants moved out of the step loop (CPython 3.11, numpy 2.4, x86-64)
+CSV_SHA256 = {
+    "example_sec4.json":
+        "d73175a593e5c01ff5e006321548b0e70f7346a623a4950acd9891c63c540788",
+    "example_sweeping.json":
+        "ae4a29892370478fb4420b97dcb8855c8c3b83f75b3a333919a59844109b9fe5",
+    "example_sweeping_drift.json":
+        "12f3ef91b477e7e41c3490bc5a50a67edf20e22c38851eab37b1b11038110bc3",
+    "example_thm3.json":
+        "6914fe9b146dcba75c50caf206f1ebcc2a494b37a3097965459c6f9507be8527",
+    "example_thm4.json":
+        "5d911865ce1dc5d169b4db61c956d1a60166a1aea9c8dbe86f76c554cb85ccd5",
+    "example_timevarying.json":
+        "278b4fd3363fb72042699616d7f208fdadf8c3dc3cf46d2b7ec62e28ebcee43f",
+    "example_trivial.json":
+        "7d57305b2417d579970ac39e600bae4e90b46812f00d2cc68af0833be80f3ea9",
+}
 
 
 def _load_system(name):
@@ -159,3 +180,46 @@ def test_simulate_input_validation():
         simulate(sys_, sc.x0, -1.0, 10)
     with pytest.raises(ValueError):
         simulate(sys_, sc.x0, 1.0, 0)
+
+
+@pytest.mark.parametrize("name", sorted(CSV_SHA256))
+def test_bundled_csv_is_frozen(name):
+    sys_, sc = _load_system(name)
+    buf = io.StringIO()
+    to_csv(simulate(sys_, sc.x0, sc.t_final, sc.n_steps), buf)
+    digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+    assert digest == CSV_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(CSV_SHA256))
+def test_simulate_rows_replay_bitwise_through_solve_step(name):
+    # bundled scenarios use identity storage, so simulate steps in the
+    # caller's coordinates and each row is one public solve_step away from
+    # the previous one
+    sys_, sc = _load_system(name)
+    traj = simulate(sys_, sc.x0, sc.t_final, sc.n_steps)
+    h = sc.t_final / sc.n_steps
+    for i in range(traj.n_steps):
+        x = traj.states[i]
+        y_in = x + h * sys_.drift(traj.times[i], x) - (h * sys_.kappa) * x
+        step = solve_step(sys_, traj.times[i + 1], x, y_in, h)
+        assert np.array_equal(step.x_next, traj.states[i + 1])
+        assert np.array_equal(step.lam, traj.lambdas[i + 1])
+        assert step.residual == traj.residuals[i + 1]
+        assert step.iterations == traj.iterations[i + 1]
+
+
+def test_nan_drift_is_named_with_step_and_time():
+    ms = DecomposedMovingSet(lambda t: Box([-1.0, -1.0], [1.0, 1.0]),
+                             np.zeros((2, 2)), lambda t: np.zeros(2))
+
+    def drift(t, x):
+        return np.full(2, np.nan) if t > 0.055 else -x
+
+    sys_ = build_system(np.eye(2), np.eye(2), 0.5 * np.eye(2), ms,
+                        drift=drift, lf=1.0)
+    with pytest.raises(NonFiniteDrift) as info:
+        simulate(sys_, np.array([0.2, 0.1]), 1.0, 100)
+    assert not isinstance(info.value, SolverDiverged)
+    assert info.value.step_index == 6
+    assert info.value.t == pytest.approx(0.06)

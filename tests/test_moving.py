@@ -13,6 +13,8 @@ from luresim import (
     hypomonotonicity_gap,
     verify_lipschitz,
 )
+from luresim import moving
+from luresim.errors import SolverDiverged
 from luresim.moving import evaluate, lipschitz_constants
 from luresim.sets import as_box
 
@@ -163,3 +165,19 @@ def test_hypomonotonicity_gap_values():
     # state budget enters through lk2 * |dx|
     gap = hypomonotonicity_gap([1.0], [0.0], [0.0], [1.0], 0.0, 2.0, 0.0, 0.5)
     assert gap == pytest.approx(0.0)
+
+
+def test_admissible_is_undetermined_when_the_solver_gives_up(monkeypatch):
+    # m = 9 is past the exact box enumeration, so the iterative solver
+    # decides; its failure means "undetermined", not a raised error
+    m = 9
+    ms = DecomposedMovingSet(lambda t: Box(-np.ones(m), np.ones(m)),
+                             np.zeros((m, m)), lambda t: np.zeros(m))
+    sys_ = build_system(np.eye(m), np.eye(m), np.eye(m), ms)
+    assert admissible(ms, sys_, np.zeros(m)) is True
+
+    def give_up(*args, **kwargs):
+        raise SolverDiverged("stalled", residual=1.0)
+
+    monkeypatch.setattr(moving, "solve_static_multiplier", give_up)
+    assert admissible(ms, sys_, np.zeros(m)) is None

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from luresim import (
     Box,
@@ -181,3 +183,30 @@ def test_projection_properties():
         assert np.allclose(project(s, pp), pp, atol=1e-9)
         assert np.linalg.norm(pp - qq) <= np.linalg.norm(p - q) + 1e-9
         assert contains(s, pp, tol=1e-7)
+
+
+_BOUND = st.floats(allow_nan=False)
+_OFFSET = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(st.tuples(_BOUND, _BOUND, _OFFSET), min_size=1, max_size=4))
+def test_translated_box_bounds_fail_validation_only_by_overflow(coords):
+    # the step solver takes as_box's translated bounds without wrapping them
+    # in a new Box: a valid box plus a finite offset keeps lower <= upper and
+    # never yields NaN (IEEE addition is monotone), so the only way Box can
+    # reject the result is a finite bound overflowing to an empty interval
+    coords = [(min(a, b), max(a, b), o) for a, b, o in coords]
+    coords = [(lo, up, o) for lo, up, o in coords if lo < np.inf and up > -np.inf]
+    if not coords:
+        return
+    lo, up, off = (np.array(col) for col in zip(*coords))
+    with np.errstate(over="ignore"):
+        lo_t, up_t = as_box(Translate(Box(lo, up), off))
+    assert not (np.isnan(lo_t).any() or np.isnan(up_t).any())
+    assert np.all(lo_t <= up_t)
+    if np.any(lo_t == np.inf) or np.any(up_t == -np.inf):
+        with pytest.raises(EmptySet):
+            Box(lo_t, up_t)
+    else:
+        box = Box(lo_t, up_t)
+        assert np.array_equal(box.lower, lo_t) and np.array_equal(box.upper, up_t)

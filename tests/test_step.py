@@ -22,7 +22,13 @@ from luresim import (
     solve_step,
     whole_space,
 )
-from luresim.errors import NoSolution, SolverDiverged, StepTooLarge, StepTooSmall
+from luresim.errors import (
+    EmptySet,
+    NoSolution,
+    SolverDiverged,
+    StepTooLarge,
+    StepTooSmall,
+)
 
 
 def _static_box_system(b, c, d, box, **kw):
@@ -224,3 +230,42 @@ def test_solver_options_tolerance_is_respected():
                        SolverOptions(tol=1e-12))
     assert loose.residual <= 1e-6
     assert tight.residual <= 1e-12
+
+
+def test_stalled_newton_falls_back_to_exact_enumeration():
+    # a criterion-1 draw (M's symmetric part has margin 2e-4, one pinned
+    # face) on which Newton and the damped sweep both stall; the step now
+    # finishes through the exact face enumeration the initial multiplier
+    # already used. The oracle is that same enumeration here, so the
+    # independent check is the recomputed residual.
+    b = np.array([[1.4452674548189457, -1.1678148948708298],
+                  [0.5206268056678015, 2.1554453182741473]])
+    c = np.array([[0.2301556013528869, 0.49780463877395403],
+                  [0.6821493562508779, 1.7988206650495813]])
+    d = np.array([[3.0812601446264427, -0.4448607877762083],
+                  [-0.48614716479129605, 0.07042434862725722]])
+    box = Box([-2.1289093147905493, 1.4752886364561606],
+              [-0.4291144242882463, 1.4752886364561606])
+    sys_ = _static_box_system(b, c, d, box)
+    x_prev = np.array([1.372385286036983, -0.43261073608142353])
+    y_in = np.array([-2.1038332837075693, -0.3366400811574826])
+    opts = SolverOptions()
+    res = solve_step(sys_, 0.0, x_prev, y_in, 0.05, opts)
+    assert res.residual <= opts.tol
+    ref = brute_force_step_oracle(sys_, 0.0, x_prev, y_in, 0.05)
+    assert np.allclose(res.x_next, ref.x_next, rtol=0.0, atol=1e-8)
+    assert np.allclose(res.mu, ref.mu, rtol=1e-12, atol=1e-8)
+
+
+def test_translation_overflowing_a_box_bound_is_reported_as_empty():
+    # the step hands as_box's translated bounds to the solver without
+    # re-validating them; the one way they can be invalid (a finite bound
+    # overflowing to an empty interval) still surfaces as EmptySet
+    ms = DecomposedMovingSet(
+        lambda t: Box([1e308], [1e308]), np.zeros((1, 1)),
+        lambda t: np.array([1e308]),
+    )
+    sys_ = build_system([[1.0]], [[1.0]], [[1.0]], ms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(EmptySet):
+            solve_step(sys_, 0.1, np.zeros(1), np.zeros(1), 0.1)
