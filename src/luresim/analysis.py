@@ -278,7 +278,6 @@ def perturb_transform(sys_measured, c_reference):
         lf=sys_measured.lf,
         p=sys_measured.cert.P,
         sigma=sys_measured.sigma,
-        vf=sys_measured.vf,
         on_range_violation="general",
     )
     return new_sys, ScenarioTransform(

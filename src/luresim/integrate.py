@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sets
-from .errors import NoSolution, NonFiniteDrift, NotAdmissible, SolverDiverged
-from .moving import admissible, hypomonotonicity_gap, lipschitz_constants
-from .step import SolverOptions, _advance, _StepPlan, solve_static_multiplier
+from .errors import NonFiniteDrift, NotAdmissible, SolverDiverged
+from .moving import _stationary, hypomonotonicity_gap, lipschitz_constants
+from .step import SolverOptions, _advance, _StepPlan
 from .system import canonicalize
 
 __all__ = ["Trajectory", "from_csv", "richardson_refine", "simulate", "to_csv"]
@@ -47,17 +47,6 @@ class Trajectory:
     @property
     def n_steps(self):
         return self.times.size - 1
-
-
-def _initial_multiplier(sys, x0, opts):
-    """Multiplier of the stationary inclusion at (0, x0); zero if unsolvable."""
-    k0 = sys.K.at(0.0, x0)
-    try:
-        mu, _, iters = solve_static_multiplier(k0, sys.C, sys.D, x0, opts, sys.cert.c1)
-        return mu, sets.normal_cone_residual(k0, sys.C @ x0 - sys.D @ mu, mu), iters
-    except (SolverDiverged, NoSolution):
-        mu = np.zeros(sys.m)
-        return mu, sets.normal_cone_residual(k0, sys.C @ x0, mu), 0
 
 
 def simulate(sys, x0, t_final, n_steps, opts=None):
@@ -94,8 +83,10 @@ def simulate(sys, x0, t_final, n_steps, opts=None):
     n_steps = int(n_steps)
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
-    # an undetermined verdict (None) does not block the run
-    if not opts.force and admissible(sys.K, sys, x0, opts) is False:
+    # one solve gives the admissibility verdict and row 0; an undetermined
+    # verdict (None) does not block the run
+    verdict, k0, mu0, it0 = _stationary(sys.K, sys, x0, opts)
+    if not opts.force and verdict is False:
         raise NotAdmissible(
             "initial state admits no stationary multiplier; "
             "use opts.force to integrate anyway"
@@ -104,7 +95,6 @@ def simulate(sys, x0, t_final, n_steps, opts=None):
     times = np.arange(n_steps + 1) * h
     canon = canonicalize(sys)
     csys = canon.system
-    mu0, res0, it0 = _initial_multiplier(sys, x0, opts)
 
     states = np.empty((n_steps + 1, sys.n))
     mus = np.empty((n_steps + 1, sys.m))
@@ -114,7 +104,7 @@ def simulate(sys, x0, t_final, n_steps, opts=None):
     states[0] = x0
     mus[0] = mu0
     ws[0] = sys.C @ x0 - sys.D @ mu0
-    residuals[0] = res0
+    residuals[0] = sets.normal_cone_residual(k0, ws[0], mu0)
     iterations[0] = it0
 
     xt = canon.to_canonical(x0)

@@ -17,13 +17,7 @@ import numpy as np
 from . import sets
 from .errors import NoSolution, SolverDiverged
 from .linalg import spectral_norm
-from .step import (
-    SolverOptions,
-    _poly_vi_enumerate,
-    _unwrap_polyhedron,
-    box_vi_enumerate,
-    solve_static_multiplier,
-)
+from .step import solve_static_multiplier
 
 __all__ = [
     "DecomposedMovingSet",
@@ -31,7 +25,6 @@ __all__ = [
     "LipschitzReport",
     "MovingSet",
     "admissible",
-    "evaluate",
     "hypomonotonicity_gap",
     "lipschitz_constants",
     "verify_lipschitz",
@@ -85,11 +78,6 @@ class DecomposedMovingSet:
 
 
 MovingSet = GeneralMovingSet | DecomposedMovingSet
-
-
-def evaluate(ms, t, x):
-    """Evaluate the moving set at time ``t`` and state ``x``."""
-    return ms.at(t, x)
 
 
 def lipschitz_constants(ms):
@@ -164,37 +152,33 @@ def verify_lipschitz(ms, sample_grid, c_mat=None, c2=None):
 
 
 def admissible(ms, sys, x0, opts=None):
-    """Decide whether the static inclusion at (0, x0) has a multiplier.
+    """Decide whether the stationary inclusion at (0, x0) has a multiplier.
 
-    For box-shaped sets with few coordinates the decision is exact (pattern
-    enumeration); otherwise the iterative solver is consulted, and a failure
-    to converge returns None: "undetermined" rather than inadmissible.
+    One call of the shared multiplier solve: True when it finds one, False
+    when enumeration proves there is none, and None ("undetermined") when
+    the iterative solver gives up.
     """
-    if opts is None:
-        opts = SolverOptions()
     x0 = np.asarray(x0, dtype=float).reshape(-1)
+    return _stationary(ms, sys, x0, opts)[0]
+
+
+def _stationary(ms, sys, x0, opts):
+    """Solve the stationary inclusion at (0, x0) once.
+
+    Returns ``(verdict, k0, mu, iterations)`` with the verdict of
+    :func:`admissible` and ``k0 = K(0, x0)``; mu is zero and iterations 0
+    unless the verdict is True.
+    """
     k0 = ms.at(0.0, x0)
-    q = sys.C @ x0
-    box = sets.as_box(k0)
-    if box is not None and q.size <= 8:
-        try:
-            box_vi_enumerate(sys.D, q, box[0], box[1], tol=1e-9)
-            return True
-        except NoSolution:
-            return False
-    poly = _unwrap_polyhedron(k0)
-    if poly is not None and poly[0].a.shape[0] <= 16:
-        base, offset = poly
-        try:
-            _poly_vi_enumerate(base.a, base.b + base.a @ offset, sys.D, q, 1e-9)
-            return True
-        except NoSolution:
-            return False
     try:
-        solve_static_multiplier(k0, sys.C, sys.D, x0, opts, c1=None)
+        mu, _, iterations = solve_static_multiplier(
+            k0, sys.C, sys.D, x0, opts, c1=sys.cert.c1
+        )
+    except NoSolution:
+        return False, k0, np.zeros(sys.m), 0
     except SolverDiverged:
-        return None
-    return True
+        return None, k0, np.zeros(sys.m), 0
+    return True, k0, mu, iterations
 
 
 def hypomonotonicity_gap(mu1, w1, mu2, w2, dt, dx, lk1, lk2):

@@ -470,20 +470,15 @@ def make_system(sc):
     lf = _declared(sc.constants, "Lf", linalg.spectral_norm(a_mat), "drift rate")
     if sc.forcing is not None:
         forcing_tab = sc.forcing
-        forcing_rate = forcing_tab.lipschitz()
 
         def drift(t, x):
             return a_mat @ x + np.atleast_1d(
                 np.asarray(forcing_tab.value(t), dtype=float)
             )
-
-        vf = lambda r: forcing_rate * r  # noqa: E731
     else:
 
         def drift(t, x):
             return a_mat @ x
-
-        vf = None
 
     system = build_system(
         sc.b_matrix,
@@ -495,7 +490,6 @@ def make_system(sc):
         p=p,
         kappa=sc.kappa,
         sigma=sc.sigma,
-        vf=vf,
         on_range_violation="general",
     )
 

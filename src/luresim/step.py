@@ -11,13 +11,14 @@ state equation reduces the step to a variational inequality in the multiplier:
     w = q - M mu,   mu in N_K(w),
     q = C y_in / (1 - h*kappa),   M = h C B / (1 - h*kappa) + D.
 
-For box-shaped K the inclusion is solved by a semismooth Newton method on the
-residual map mu -> w - clamp(w + mu), which is the multiplier block of the
-full (x, mu) residual after exact elimination of the state block. A damped
-fixed-point sweep serves as fallback, and exact face enumeration after that
-when m <= 8. Polyhedral K is handled by active-set enumeration over the
-constraint rows. M, like the other per-step constants, depends only on the
-system and h; simulate computes them once per run.
+The stationary inclusion at the initial state is the same problem with
+M = D and q = C x0. Both go through one solve policy, _solve_multiplier: for
+box-shaped K a semismooth Newton method on the residual map
+mu -> w - clamp(w + mu) (the multiplier block of the full (x, mu) residual
+after exact elimination of the state block) with a damped fixed-point
+fallback, then exact face enumeration up to m = ENUM_MAX_M = 8; for
+polyhedral K active-set enumeration over the constraint rows. M depends only
+on the system and h; simulate computes it once per run.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ __all__ = [
 ]
 
 MIN_STEP = 1e-14
+# largest m at which a stalled box solve falls back to the 3^m face patterns
+ENUM_MAX_M = 8
 
 
 @dataclass(frozen=True)
@@ -194,20 +197,6 @@ def _newton_box(m_mat, q, lower, upper, opts, c1, d_norm):
     )
 
 
-def _unwrap_polyhedron(k_set):
-    # peel Translate layers: N_{S+o}(w) = N_S(w - o)
-    offset = None
-    base = k_set
-    while isinstance(base, sets.Translate):
-        offset = base.offset if offset is None else offset + base.offset
-        base = base.base
-    if isinstance(base, sets.Polyhedron):
-        if offset is None:
-            offset = np.zeros(base.a.shape[1])
-        return base, offset
-    return None
-
-
 def _poly_vi_enumerate(a, b, m_mat, q, tol):
     """All KKT-consistent multipliers of mu in N_{Ay<=b}(q - M mu).
 
@@ -245,44 +234,53 @@ def _poly_vi_enumerate(a, b, m_mat, q, tol):
     return best[1], best[2], examined
 
 
-def _solve_box(m_mat, q, lower, upper, opts, c1, d_norm):
-    """Newton on the box inclusion; exact face enumeration if it stalls at m <= 8."""
+def _solve_multiplier(k_set, box, m_mat, q, opts, c1, d_norm):
+    """Solve ``mu in N_K(q - M mu)``; the one place that picks the method.
+
+    ``box`` is ``sets.as_box(k_set)``. A box goes to Newton, then to face
+    enumeration once Newton stalls and m <= ENUM_MAX_M; a (translated)
+    polyhedron goes to active-set enumeration. Returns (mu, w, iterations).
+
+    Raises
+    ------
+    NoSolution
+        When enumeration proves that no multiplier exists.
+    SolverDiverged
+        When the solver gives up.
+    """
+    if box is None:
+        # peel Translate layers: N_{S+o}(w) = N_S(w - o), and A(w - o) <= b
+        # becomes A w <= b + A o
+        offset = None
+        while isinstance(k_set, sets.Translate):
+            offset = k_set.offset if offset is None else offset + k_set.offset
+            k_set = k_set.base
+        if not isinstance(k_set, sets.Polyhedron):
+            raise TypeError(f"unsupported set type: {type(k_set).__name__}")
+        b = k_set.b if offset is None else k_set.b + k_set.a @ offset
+        return _poly_vi_enumerate(k_set.a, b, m_mat, q, max(opts.tol, 1e-12))
+    lower, upper = box
     try:
         return _newton_box(m_mat, q, lower, upper, opts, c1, d_norm)
-    except SolverDiverged as exc:
+    except SolverDiverged:
         # the bounds come from as_box unvalidated; a translation that
         # overflows a bound to an empty interval can only end up here
         sets.Box(lower, upper)
-        if q.size <= 8:
-            try:
-                return box_vi_enumerate(m_mat, q, lower, upper)
-            except NoSolution:
-                pass
-        raise exc
-
-
-def _solve_poly(k_set, m_mat, q, opts):
-    """Active-set enumeration for a (translated) polyhedron."""
-    poly = _unwrap_polyhedron(k_set)
-    if poly is None:
-        raise TypeError(f"unsupported set type: {type(k_set).__name__}")
-    base, offset = poly
-    # shift the offset into b: A(w - offset) <= b becomes A w <= b + A offset
-    try:
-        return _poly_vi_enumerate(
-            base.a, base.b + base.a @ offset, m_mat, q, max(opts.tol, 1e-12)
-        )
-    except NoSolution as exc:
-        raise SolverDiverged(str(exc)) from exc
+        if q.size > ENUM_MAX_M:
+            raise
+        return box_vi_enumerate(m_mat, q, lower, upper)
 
 
 class _StepPlan:
     """Step invariants of one ``(system, h)``: the reduced matrix and friends.
 
-    ``simulate`` builds one per run; :func:`solve_step` builds one per call.
+    ``simulate`` builds one per run, :func:`solve_step` and the oracle one
+    per call. ``d_norm`` (an SVD) and ``proj`` (an eigendecomposition) wait
+    for their first read, since the oracle needs neither; plain properties,
+    as ``functools.cached_property`` takes a lock on each fresh plan.
     """
 
-    __slots__ = ("sys", "h", "denom", "m_mat", "c1", "d_norm", "proj")
+    __slots__ = ("sys", "h", "denom", "m_mat", "c1", "_d_norm", "_proj")
 
     def __init__(self, sys, h):
         if h <= MIN_STEP:
@@ -295,8 +293,21 @@ class _StepPlan:
         self.denom = denom
         self.m_mat = (h / denom) * (sys.C @ sys.B) + sys.D
         self.c1 = sys.cert.c1 if sys.cert is not None else None
-        self.d_norm = float(np.linalg.norm(sys.D, 2)) if sys.D.size else 0.0
-        self.proj = range_projector(sys.D + sys.D.T)
+        self._d_norm = None
+        self._proj = None
+
+    @property
+    def d_norm(self):
+        if self._d_norm is None:
+            d = self.sys.D
+            self._d_norm = float(np.linalg.norm(d, 2)) if d.size else 0.0
+        return self._d_norm
+
+    @property
+    def proj(self):
+        if self._proj is None:
+            self._proj = range_projector(self.sys.D + self.sys.D.T)
+        return self._proj
 
 
 def solve_step(sys, t_next, x_prev, y_in, h, opts=None):
@@ -336,17 +347,23 @@ def solve_step(sys, t_next, x_prev, y_in, h, opts=None):
 def _advance(plan, t_next, x_prev, y_in, opts):
     """One step on validated 1-D float states; see :func:`solve_step`."""
     sys = plan.sys
-    h, denom = plan.h, plan.denom
     k_set = sys.K.at(t_next, x_prev)
-    q = (sys.C @ y_in) / denom
+    q = (sys.C @ y_in) / plan.denom
     box = sets.as_box(k_set)
-    if box is None:
-        mu, _, iterations = _solve_poly(k_set, plan.m_mat, q, opts)
-    else:
-        mu, _, iterations = _solve_box(
-            plan.m_mat, q, box[0], box[1], opts, plan.c1, plan.d_norm
+    try:
+        mu, _, iterations = _solve_multiplier(
+            k_set, box, plan.m_mat, q, opts, plan.c1, plan.d_norm
         )
+    except NoSolution as exc:
+        raise SolverDiverged(f"step has no multiplier: {exc}") from exc
     mu = _minimal_norm_polish(plan, k_set, box, q, mu, opts.tol)
+    return _step_result(plan, k_set, y_in, mu, iterations)
+
+
+def _step_result(plan, k_set, y_in, mu, iterations):
+    """State, output argument and residuals of a step with multiplier mu."""
+    sys = plan.sys
+    h, denom = plan.h, plan.denom
     b_mu = sys.B @ mu
     x_next = (y_in - h * b_mu) / denom
     w = sys.C @ x_next - sys.D @ mu
@@ -391,18 +408,16 @@ def _minimal_norm_polish(plan, k_set, box, q, mu, tol):
 def solve_static_multiplier(k_set, c_mat, d_mat, x0, opts=None, c1=None):
     """Solve the stationary inclusion ``mu in N_K(C x0 - D mu)``.
 
-    Same machinery as the step solve with M = D and q = C x0; used by the
-    admissibility test and for the multiplier attached to the initial state.
-    Returns ``(mu, w, iterations)``.
+    The step solve with M = D and q = C x0; used by the admissibility test
+    and for the multiplier attached to the initial state. Returns
+    ``(mu, w, iterations)``; raises NoSolution when no multiplier exists and
+    SolverDiverged when the solver gives up.
     """
     if opts is None:
         opts = SolverOptions()
     q = c_mat @ np.asarray(x0, dtype=float).reshape(-1)
-    box = sets.as_box(k_set)
-    if box is None:
-        return _solve_poly(k_set, d_mat, q, opts)
     d_norm = float(np.linalg.norm(d_mat, 2)) if d_mat.size else 0.0
-    return _solve_box(d_mat, q, box[0], box[1], opts, c1, d_norm)
+    return _solve_multiplier(k_set, sets.as_box(k_set), d_mat, q, opts, c1, d_norm)
 
 
 def box_vi_enumerate(m_mat, q, lower, upper, tol=1e-9):
@@ -466,36 +481,18 @@ def box_vi_enumerate(m_mat, q, lower, upper, tol=1e-9):
 def brute_force_step_oracle(sys, t_next, x_prev, y_in, h, tol=1e-9):
     """Reference step solution by exhaustive face-pattern enumeration.
 
-    Independent cross-check route for :func:`solve_step` on box-shaped sets;
-    see :func:`box_vi_enumerate` for the pattern search. The least-norm
-    feasible candidate is returned.
+    Independent cross-check route for :func:`solve_step` on box-shaped sets:
+    it shares the step guards, M and the result algebra, and differs only in
+    its inner solve, :func:`box_vi_enumerate`. The least-norm feasible
+    candidate is returned.
     """
-    if h <= MIN_STEP:
-        raise StepTooSmall(f"step size {h:g} at or below {MIN_STEP:g}")
-    denom = 1.0 - h * sys.kappa
-    if denom <= 1e-12:
-        raise StepTooLarge(f"1 - h*kappa = {denom:g} not positive")
+    plan = _StepPlan(sys, h)
     x_prev = np.asarray(x_prev, dtype=float).reshape(-1)
     y_in = np.asarray(y_in, dtype=float).reshape(-1)
     k_set = sys.K.at(t_next, x_prev)
     box = sets.as_box(k_set)
     if box is None:
         raise TypeError("oracle supports box-shaped sets only")
-    lower, upper = box
-    q = (sys.C @ y_in) / denom
-    m_mat = (h / denom) * (sys.C @ sys.B) + sys.D
-    mu, _, examined = box_vi_enumerate(m_mat, q, lower, upper, tol)
-    x_next = (y_in - h * (sys.B @ mu)) / denom
-    w_out = sys.C @ x_next - sys.D @ mu
-    state_res = float(
-        np.linalg.norm(denom * x_next + h * (sys.B @ mu) - y_in)
-    ) / (1.0 + float(np.linalg.norm(y_in)))
-    cone_res = sets.normal_cone_residual(k_set, w_out, mu)
-    return StepResult(
-        x_next=x_next,
-        mu=mu,
-        lam=-mu,
-        w=w_out,
-        residual=max(state_res, cone_res),
-        iterations=examined,
-    )
+    q = (sys.C @ y_in) / plan.denom
+    mu, _, examined = box_vi_enumerate(plan.m_mat, q, box[0], box[1], tol)
+    return _step_result(plan, k_set, y_in, mu, examined)

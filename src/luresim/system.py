@@ -35,7 +35,6 @@ class LureSystem:
     K: MovingSet
     cert: linalg.PassivityCertificate
     sigma: float | None = None
-    vf: Callable[[float], float] | None = None
 
     @property
     def kappa(self):
@@ -60,7 +59,6 @@ def build_system(
     p=None,
     kappa=None,
     sigma=None,
-    vf=None,
     on_range_violation="raise",
 ):
     """Validate and assemble a :class:`LureSystem`.
@@ -112,7 +110,6 @@ def build_system(
         K=moving_set,
         cert=cert,
         sigma=None if sigma is None else float(sigma),
-        vf=vf,
     )
 
 
@@ -167,7 +164,6 @@ def canonicalize(sys):
         drift=drift_t,
         lf=sys.lf * cond,
         sigma=sys.sigma,
-        vf=sys.vf,
     )
     return CanonicalMap(
         system=sys_t,

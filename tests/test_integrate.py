@@ -10,6 +10,7 @@ from helpers import scenario_path
 from luresim import (
     Box,
     DecomposedMovingSet,
+    GeneralMovingSet,
     SolverOptions,
     build_system,
     from_csv,
@@ -136,6 +137,32 @@ def test_inadmissible_initial_state_is_rejected():
     sys_ = _pinned_channel_system()
     with pytest.raises(NotAdmissible):
         simulate(sys_, np.array([15.0, 0.5]), 1.0, 10)
+
+
+def test_forced_inadmissible_start_fails_at_the_first_step():
+    # force skips the gate, so row 0 carries the zero multiplier of the
+    # unsolvable stationary inclusion and the first step has no multiplier
+    sys_ = _pinned_channel_system()
+    with pytest.raises(SolverDiverged) as info:
+        simulate(sys_, np.array([15.0, 0.5]), 1.0, 10, SolverOptions(force=True))
+    exc = info.value
+    assert exc.step_index == 0
+    assert np.array_equal(exc.partial.lambdas[0], np.zeros(2))
+    assert exc.partial.iterations[0] == 0
+
+
+def test_stationary_inclusion_is_solved_once_per_run():
+    calls = []
+
+    def at_fn(t, x):
+        if t == 0.0:
+            calls.append(t)
+        return Box([-1.0, -1.0], [1.0, 1.0])
+
+    ms = GeneralMovingSet(at_fn, 0.0, 0.0)
+    sys_ = build_system(np.eye(2), np.eye(2), np.eye(2), ms)
+    simulate(sys_, np.array([0.5, 2.0]), 1.0, 5)
+    assert len(calls) == 1
 
 
 def test_divergence_carries_partial_trajectory():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from luresim import (
     Box,
@@ -13,9 +15,9 @@ from luresim import (
     hypomonotonicity_gap,
     verify_lipschitz,
 )
-from luresim import moving
-from luresim.errors import SolverDiverged
-from luresim.moving import evaluate, lipschitz_constants
+from luresim import box_vi_enumerate, moving
+from luresim.errors import NoSolution, SolverDiverged
+from luresim.moving import lipschitz_constants
 from luresim.sets import as_box
 
 
@@ -29,7 +31,7 @@ def test_decomposed_evaluation_folds_offsets():
     assert np.allclose(lo, [-0.8, -1.4])
     assert np.allclose(up, [1.2, 0.6])
     assert lo is not None
-    same = evaluate(ms, 2.0, np.array([1.0, 1.0]))
+    same = ms.at(2.0, np.array([1.0, 1.0]))
     lo2, up2 = as_box(same)
     assert np.allclose(lo, lo2) and np.allclose(up, up2)
 
@@ -64,7 +66,7 @@ def test_decomposed_constants_and_declared_floor():
 def test_general_moving_set_passthrough():
     tri = Polyhedron(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 1.0]))
     ms = GeneralMovingSet(lambda t, x: tri, 0.4, 0.6)
-    assert evaluate(ms, 0.0, np.zeros(2)) is tri
+    assert ms.at(0.0, np.zeros(2)) is tri
     assert lipschitz_constants(ms) == (0.4, 0.6)
 
 
@@ -181,3 +183,42 @@ def test_admissible_is_undetermined_when_the_solver_gives_up(monkeypatch):
 
     monkeypatch.setattr(moving, "solve_static_multiplier", give_up)
     assert admissible(ms, sys_, np.zeros(m)) is None
+
+
+_GRID = st.integers(-4, 4).map(lambda k: 0.5 * k)
+
+
+@st.composite
+def _stationary_problems(draw):
+    # D = G G^T with G of m x rank, so every rank 0..m is drawn; B = C^T
+    # keeps the passivity certificate valid for any C
+    m = draw(st.integers(1, 4))
+    rank = draw(st.integers(0, m))
+    g = np.array(draw(st.lists(_GRID, min_size=m * rank, max_size=m * rank)))
+    c = np.array(draw(st.lists(_GRID, min_size=m * m, max_size=m * m)))
+    x0 = np.array(draw(st.lists(_GRID, min_size=m, max_size=m)))
+    lower, upper = [], []
+    for _ in range(m):
+        lo = draw(_GRID)
+        up = lo + 0.5 * draw(st.integers(0, 4))
+        lower.append(-np.inf if draw(st.booleans()) else lo)
+        upper.append(np.inf if draw(st.booleans()) else up)
+    g = g.reshape(m, rank)
+    return g @ g.T, c.reshape(m, m), x0, np.array(lower), np.array(upper)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_stationary_problems())
+def test_admissible_agrees_with_face_enumeration(problem):
+    # admissible tries Newton before enumerating; its verdict must still be
+    # exactly whether some face pattern solves the stationary inclusion
+    d, c, x0, lower, upper = problem
+    box = Box(lower, upper)
+    ms = GeneralMovingSet(lambda t, x: box, 0.0, 0.0)
+    sys_ = build_system(c.T, c, d, ms)
+    try:
+        box_vi_enumerate(d, c @ x0, lower, upper)
+        expected = True
+    except NoSolution:
+        expected = False
+    assert admissible(ms, sys_, x0) is expected

@@ -218,7 +218,7 @@ def test_step_reports_divergence_on_infeasible_channel():
     # unreachable and the inner solver must say so
     b = np.array([[0.0, 0.0], [0.0, 1.0]])
     sys_ = _static_box_system(b, b, b, Box([0.5, -1.0], [1.0, 1.0]))
-    with pytest.raises(SolverDiverged):
+    with pytest.raises(SolverDiverged, match="no multiplier"):
         solve_step(sys_, 0.0, np.zeros(2), np.array([0.0, 0.0]), 0.01)
 
 
