@@ -17,9 +17,9 @@ import numpy as np
 from . import sets
 from .errors import HypothesisFailed, MissingConstant
 from .integrate import simulate
-from .linalg import spectral_norm
+from .linalg import spectral_norm, storage_mismatch
 from .moving import DecomposedMovingSet
-from .system import build_system, canonicalize
+from .system import build_system
 
 __all__ = [
     "RateReport",
@@ -76,13 +76,6 @@ class ScenarioTransform:
     decomposed: bool
 
 
-def _mismatch_norm(sys):
-    """||B - C^T|| evaluated in identity-storage coordinates."""
-    canon = canonicalize(sys)
-    csys = canon.system
-    return spectral_norm(csys.B - csys.C.T), csys.cert.c1
-
-
 def _quadratic_term(l_const, c1):
     if l_const <= 1e-14:
         return 0.0
@@ -125,9 +118,8 @@ def lipschitz_dependence_check(
         )
     x0a = np.asarray(x0a, dtype=float).reshape(-1)
     x0b = np.asarray(x0b, dtype=float).reshape(-1)
-    mismatch, c1 = _mismatch_norm(sys)
-    l_const = sys.K.lh + mismatch
-    gamma = sys.lf + _quadratic_term(l_const, c1)
+    l_const = sys.K.lh + storage_mismatch(sys.P, sys.B, sys.C)
+    gamma = sys.lf + _quadratic_term(l_const, sys.cert.c1)
     traj_a = simulate(sys, x0a, t_final, n_steps, opts)
     traj_b = simulate(sys, x0b, t_final, n_steps, opts)
     observed = np.linalg.norm(traj_a.states - traj_b.states, axis=1)
@@ -181,7 +173,7 @@ def attractivity_check(
         raise MissingConstant("sigma (drift decay rate) is not declared")
     sigma = float(sys.sigma)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    mismatch, c1 = _mismatch_norm(sys)
+    mismatch = storage_mismatch(sys.P, sys.B, sys.C)
     if variant == "with_uniqueness":
         if not isinstance(sys.K, DecomposedMovingSet):
             raise HypothesisFailed(
@@ -193,7 +185,7 @@ def attractivity_check(
                 raise HypothesisFailed(f"origin leaves K(t, 0) at t={t:g}")
     else:
         l_const = mismatch
-    term = _quadratic_term(l_const, c1)
+    term = _quadratic_term(l_const, sys.cert.c1)
     if sigma <= term:
         raise HypothesisFailed(
             f"sigma={sigma:g} does not exceed the feedback term {term:g}"

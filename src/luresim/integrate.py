@@ -1,14 +1,15 @@
 """Catching-up integration of the set-valued system on a uniform grid.
 
-simulate() advances the implicit scheme
+simulate() advances the implicit scheme, in the caller's coordinates for
+every storage matrix P,
 
     y_i = x_i + h f(t_i, x_i) - h kappa x_i
     x_{i+1} from solve_step at (t_{i+1}, x_i, y_i)
 
-and returns a Trajectory holding states, system-sign multipliers, outputs and
-per-step diagnostics. Row 0 carries the multiplier of the stationary
-inclusion at (0, x0). The run is deterministic: same inputs, bitwise same
-arrays.
+with kappa the system's step shift ``LureSystem.kappa``, and returns a
+Trajectory holding states, system-sign multipliers, outputs and per-step
+diagnostics. Row 0 carries the multiplier of the stationary inclusion at
+(0, x0). The run is deterministic: same inputs, bitwise same arrays.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from . import sets
 from .errors import NonFiniteDrift, NotAdmissible, SolverDiverged
 from .moving import _stationary, hypomonotonicity_gap, lipschitz_constants
 from .step import SolverOptions, _advance, _StepPlan
-from .system import canonicalize
 
 __all__ = ["Trajectory", "from_csv", "richardson_refine", "simulate", "to_csv"]
 
@@ -93,8 +93,6 @@ def simulate(sys, x0, t_final, n_steps, opts=None):
         )
     h = t_final / n_steps
     times = np.arange(n_steps + 1) * h
-    canon = canonicalize(sys)
-    csys = canon.system
 
     states = np.empty((n_steps + 1, sys.n))
     mus = np.empty((n_steps + 1, sys.m))
@@ -107,14 +105,14 @@ def simulate(sys, x0, t_final, n_steps, opts=None):
     residuals[0] = sets.normal_cone_residual(k0, ws[0], mu0)
     iterations[0] = it0
 
-    xt = canon.to_canonical(x0)
-    kappa = csys.kappa
-    drift = csys.drift
-    plan = _StepPlan(csys, h)
+    x = x0
+    kappa = sys.kappa
+    drift = sys.drift
+    plan = _StepPlan(sys, h)
     for i in range(n_steps):
-        y_in = xt + h * drift(times[i], xt) - (h * kappa) * xt
+        y_in = x + h * drift(times[i], x) - (h * kappa) * x
         try:
-            step = _advance(plan, times[i + 1], xt, y_in, opts)
+            step = _advance(plan, times[i + 1], x, y_in, opts)
         except SolverDiverged as exc:
             if not np.all(np.isfinite(y_in)):
                 raise NonFiniteDrift(
@@ -127,8 +125,8 @@ def simulate(sys, x0, t_final, n_steps, opts=None):
                 residuals[: i + 1], iterations[: i + 1], h,
             )
             raise
-        xt = step.x_next
-        states[i + 1] = canon.from_canonical(xt)
+        x = step.x_next
+        states[i + 1] = x
         mus[i + 1] = step.mu
         ws[i + 1] = step.w
         residuals[i + 1] = step.residual

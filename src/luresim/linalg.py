@@ -1,8 +1,9 @@
 """Matrix-level certificates for Lur'e system data.
 
 Dense, desk-scale linear algebra: spectral constants of the feedthrough and
-output matrices, the passivity LMI test, and the kappa shift selection used by
-the implicit integrator. Everything works on plain float64 numpy arrays.
+output matrices, the passivity LMI test, the kappa shift selection used by
+the implicit integrator, and the storage congruence to identity-storage
+coordinates. Everything works on plain float64 numpy arrays.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ __all__ = [
     "select_kappa",
     "smallest_positive_eigenvalue",
     "spectral_norm",
+    "storage_congruence",
+    "storage_mismatch",
     "sym",
 ]
 
@@ -246,6 +249,27 @@ def select_kappa(p, b, c, d, require_kernel_inclusion=False, tol=1e-9):
     return -nw * nw / (4.0 * alpha * c1)
 
 
+def storage_congruence(p, b, c):
+    """Identity-storage coordinates ``x~ = L^T x`` for P = L L^T (Cholesky).
+
+    Returns ``(L^T, L^{-T}, B~, C~)`` with ``B~ = L^T B`` and ``C~ = C L^{-T}``
+    (D is unchanged), or None when P is None or exactly I. Since C~ B~ = C B
+    and C~ x~ = C x, each step inclusion is the same in both coordinates;
+    only the passivity shift differs.
+    """
+    if p is None or np.array_equal(p, np.eye(p.shape[0])):
+        return None
+    ell_t = np.linalg.cholesky(sym(p)).T
+    ell_inv_t = np.linalg.inv(ell_t)
+    return ell_t, ell_inv_t, ell_t @ b, c @ ell_inv_t
+
+
+def storage_mismatch(p, b, c):
+    """Output mismatch ``||B~ - C~^T||_2`` in identity-storage coordinates."""
+    tilde = storage_congruence(p, b, c)
+    return spectral_norm(b - c.T if tilde is None else tilde[2] - tilde[3].T)
+
+
 def check_passive(a, b, c, d, p, tol=1e-9):
     """Passivity LMI test for the tuple (A, B, C, D) with storage P.
 
@@ -286,13 +310,17 @@ class PassivityCertificate:
     P : ndarray
         Storage matrix (symmetric positive definite).
     kappa : float
-        Nonpositive shift constant used by the implicit scheme.
+        Nonpositive shift certifying passivity of (kappa I, B, C, D) with
+        storage P: the declared value, or the formula of :func:`select_kappa`.
     c1 : float or None
         Smallest positive eigenvalue of D + D^T; None when D + D^T = 0.
     c2 : float or None
         Smallest positive eigenvalue of C C^T; None when C = 0.
     alpha : float
         Smallest eigenvalue of P (> 0).
+    step_kappa : float or None
+        Step shift for P != I with no declared kappa: the formula for the
+        identity-storage tuple (B~, C~, D). None when the step uses kappa.
     """
 
     P: np.ndarray
@@ -300,6 +328,7 @@ class PassivityCertificate:
     c1: float | None
     c2: float | None
     alpha: float
+    step_kappa: float | None = None
 
 
 def certify(b, c, d, p=None, kappa=None, tol=1e-9):
@@ -307,15 +336,15 @@ def certify(b, c, d, p=None, kappa=None, tol=1e-9):
 
     ``kappa`` defaults to :func:`select_kappa`. A caller-supplied kappa must
     be at least as negative as the formula value (the shift condition
-    ``2*sqrt(-kappa*alpha*c1) >= ||P B - C^T||`` stays satisfiable).
+    ``2*sqrt(-kappa*alpha*c1) >= ||P B - C^T||`` stays satisfiable) and is
+    then also the step shift.
     """
     b = as_matrix(b, "B")
     c = as_matrix(c, "C")
     d = as_matrix(d, "D")
     n_dim = b.shape[0]
-    if p is None:
-        p = np.eye(n_dim)
-    p = as_matrix(p, "P", (n_dim, n_dim))
+    storage = None if p is None else as_matrix(p, "P", (n_dim, n_dim))
+    p = np.eye(n_dim) if storage is None else storage
     alpha = float(np.linalg.eigvalsh(sym(p))[0])
     if alpha <= 0.0:
         raise NotPSD("P must be positive definite")
@@ -328,12 +357,17 @@ def certify(b, c, d, p=None, kappa=None, tol=1e-9):
     except NoPositiveEigenvalue:
         c2 = None
     formula = select_kappa(p, b, c, d, tol=tol)
+    step_kappa = None
     if kappa is None:
         kappa = formula
+        tilde = storage_congruence(storage, b, c)
+        if tilde is not None:
+            step_kappa = select_kappa(np.eye(n_dim), tilde[2], tilde[3], d, tol=tol)
     else:
         kappa = float(kappa)
         if kappa > formula + tol:
             raise NotPSD(
                 f"kappa={kappa:g} is less negative than the certified value {formula:g}"
             )
-    return PassivityCertificate(P=p, kappa=float(kappa), c1=c1, c2=c2, alpha=alpha)
+    return PassivityCertificate(P=p, kappa=float(kappa), c1=c1, c2=c2, alpha=alpha,
+                                step_kappa=step_kappa)

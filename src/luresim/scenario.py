@@ -28,7 +28,7 @@ from . import linalg
 from .errors import LureError, ParseError, ValidationError
 from .moving import DecomposedMovingSet, GeneralMovingSet
 from .sets import Box
-from .system import build_system, canonicalize
+from .system import build_system
 
 __all__ = [
     "CheckItem",
@@ -369,26 +369,7 @@ def make_system(sc):
     warning (trajectories are unaffected; uniqueness-based conclusions are).
     """
     warnings = []
-    checks = []
     d = sc.d_matrix
-    if not linalg.is_positive_semidefinite(
-        d, 1e-9 * max(1.0, linalg.spectral_norm(d))
-    ):
-        raise ValidationError(
-            "assumption A2 violated: feedthrough matrix D must be positive "
-            "semidefinite"
-        )
-    checks.append(CheckItem("D positive semidefinite", True))
-    p = sc.p_matrix if sc.p_matrix is not None else np.eye(sc.n)
-    try:
-        cert = linalg.certify(sc.b_matrix, sc.c_matrix, d, p=p, kappa=sc.kappa)
-    except LureError as exc:
-        raise ValidationError(
-            f"assumption A2 violated: storage matrix P is invalid ({exc})"
-        ) from exc
-    checks.append(
-        CheckItem("P symmetric positive definite", True, f"alpha={cert.alpha:g}")
-    )
     base, lh1 = _bounds_builder(sc.lower, sc.upper)
     h_matrix = sc.h_matrix if sc.h_matrix is not None else np.zeros((sc.m, sc.n))
     if sc.g_table is not None:
@@ -414,31 +395,6 @@ def make_system(sc):
     lk1_eff = _declared(sc.constants, "LK1", lh1 + lh2, "time variation rate")
     lk2_eff = _declared(sc.constants, "LK2", lh, "state variation rate")
 
-    # assumption A1: state sensitivity of the set versus output conditioning
-    c_norm = linalg.spectral_norm(sc.c_matrix)
-    if lk2_eff > 0.0:
-        if cert.c2 is None or c_norm == 0.0:
-            raise ValidationError(
-                "assumption A1 violated: state-dependent set variation "
-                "requires C C^T to have a positive eigenvalue"
-            )
-        bound = cert.c2 / c_norm
-        if lk2_eff > bound + 1e-12 * max(1.0, bound):
-            raise ValidationError(
-                f"assumption A1 violated: L_K2 = {lk2_eff:g} exceeds "
-                f"c2/||C|| = {bound:g}"
-            )
-        checks.append(
-            CheckItem(
-                "state variation bound L_K2 <= c2/||C||",
-                True,
-                f"{lk2_eff:g} <= {bound:g}",
-            )
-        )
-    else:
-        checks.append(CheckItem("state variation bound L_K2 <= c2/||C||", True,
-                                "L_K2 = 0"))
-
     dd = d + d.T
     range_h_ok = linalg.range_inclusion(h_matrix, dd)
     g_samples = None
@@ -452,7 +408,7 @@ def make_system(sc):
     decomposed_ok = bool(range_h_ok and range_g_ok)
     if decomposed_ok:
         moving_final = moving
-        checks.append(CheckItem("offset range condition", True))
+        range_item = CheckItem("offset range condition", True)
     else:
         moving_final = GeneralMovingSet(at_fn=moving.at, lk1=lk1_eff, lk2=lk2_eff)
         detail = []
@@ -460,7 +416,7 @@ def make_system(sc):
             detail.append("rge(H) not in rge(D + D^T)")
         if not range_g_ok:
             detail.append("g(t) leaves rge(D + D^T)")
-        checks.append(CheckItem("offset range condition", False, "; ".join(detail)))
+        range_item = CheckItem("offset range condition", False, "; ".join(detail))
         warnings.append(
             "offset range condition fails; moving set handled in general form "
             "(trajectories unaffected, uniqueness-based conclusions unavailable)"
@@ -480,51 +436,58 @@ def make_system(sc):
         def drift(t, x):
             return a_mat @ x
 
-    system = build_system(
-        sc.b_matrix,
-        sc.c_matrix,
-        d,
-        moving_final,
-        drift=drift,
-        lf=lf,
-        p=p,
-        kappa=sc.kappa,
-        sigma=sc.sigma,
-        on_range_violation="general",
-    )
-
-    rank_c = int(np.linalg.matrix_rank(sc.c_matrix, tol=1e-9 * max(c_norm, 1.0)))
-    checks.append(
-        CheckItem(
-            "C full row rank",
-            rank_c == sc.m,
-            f"rank {rank_c} of {sc.m}",
+    try:
+        system = build_system(
+            sc.b_matrix,
+            sc.c_matrix,
+            d,
+            moving_final,
+            drift=drift,
+            lf=lf,
+            p=sc.p_matrix,
+            kappa=sc.kappa,
+            sigma=sc.sigma,
+            on_range_violation="general",
         )
+    except LureError as exc:
+        raise ValidationError(f"assumption A2 violated: {exc}") from exc
+    cert = system.cert
+    # assumption A1: state sensitivity of the set versus output conditioning
+    c_norm = linalg.spectral_norm(sc.c_matrix)
+    a1_detail = "L_K2 = 0"
+    if lk2_eff > 0.0:
+        if cert.c2 is None or c_norm == 0.0:
+            raise ValidationError(
+                "assumption A1 violated: state-dependent set variation "
+                "requires C C^T to have a positive eigenvalue"
+            )
+        bound = cert.c2 / c_norm
+        if lk2_eff > bound + 1e-12 * max(1.0, bound):
+            raise ValidationError(
+                f"assumption A1 violated: L_K2 = {lk2_eff:g} exceeds "
+                f"c2/||C|| = {bound:g}"
+            )
+        a1_detail = f"{lk2_eff:g} <= {bound:g}"
+    rank_c = int(np.linalg.matrix_rank(sc.c_matrix, tol=1e-9 * max(c_norm, 1.0)))
+    passive = linalg.check_passive(
+        cert.kappa * np.eye(sc.n), sc.b_matrix, sc.c_matrix, d, cert.P, tol=1e-9
     )
-    checks.append(
+    checks = [
+        CheckItem("D positive semidefinite", True),
+        CheckItem("P symmetric positive definite", True, f"alpha={cert.alpha:g}"),
+        CheckItem("state variation bound L_K2 <= c2/||C||", True, a1_detail),
+        range_item,
+        CheckItem("C full row rank", rank_c == sc.m, f"rank {rank_c} of {sc.m}"),
         CheckItem(
             "kernel inclusion ker(D+D^T) in ker(PB-C^T)",
             linalg.kernel_inclusion(d, cert.P, sc.b_matrix, sc.c_matrix),
-        )
-    )
-    checks.append(
+        ),
+        CheckItem("rge(D) in rge(C)", linalg.range_inclusion(d, sc.c_matrix)),
         CheckItem(
-            "rge(D) in rge(C)",
-            linalg.range_inclusion(d, sc.c_matrix),
-        )
-    )
-    checks.append(
-        CheckItem(
-            "passive (kappa I, B, C, D) with storage P",
-            linalg.check_passive(
-                cert.kappa * np.eye(sc.n), sc.b_matrix, sc.c_matrix, d, cert.P,
-                tol=1e-9,
-            ),
+            "passive (kappa I, B, C, D) with storage P", passive,
             f"kappa={cert.kappa:g}",
-        )
-    )
-    canon = canonicalize(system).system
-    canon_mismatch = linalg.spectral_norm(canon.B - canon.C.T)
+        ),
+    ]
     constants = {
         "alpha": cert.alpha,
         "c1": cert.c1,
@@ -536,7 +499,7 @@ def make_system(sc):
         "lh1": lh1,
         "lh2": lh2,
         "lh": lh,
-        "mismatch": canon_mismatch,
+        "mismatch": linalg.storage_mismatch(cert.P, sc.b_matrix, sc.c_matrix),
         "sigma": sc.sigma,
     }
     return SystemReport(

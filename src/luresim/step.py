@@ -54,6 +54,9 @@ __all__ = [
 ]
 
 MIN_STEP = 1e-14
+# iteration budgets of the box Newton solve and of its damped fallback
+MAX_NEWTON = 100
+MAX_FALLBACK = 1000
 # largest m at which a stalled box solve falls back to the 3^m face patterns
 ENUM_MAX_M = 8
 
@@ -62,13 +65,11 @@ ENUM_MAX_M = 8
 class SolverOptions:
     """Inner-solver knobs.
 
-    tol is an absolute residual tolerance; the fallback budget only engages
-    when Newton stalls. ``force`` skips the admissibility gate in simulate.
+    tol is an absolute residual tolerance. ``force`` skips the admissibility
+    gate in simulate.
     """
 
     tol: float = 1e-10
-    max_newton: int = 100
-    max_fallback: int = 1000
     force: bool = False
 
 
@@ -141,7 +142,7 @@ def _newton_box(m_mat, q, lower, upper, opts, c1, d_norm):
     best_mu, best_nf = mu.copy(), nf
     iterations = 0
     eye = np.eye(m_dim)
-    for _ in range(opts.max_newton):
+    for _ in range(MAX_NEWTON):
         iterations += 1
         if nf <= tol:
             return mu, w, iterations
@@ -177,7 +178,7 @@ def _newton_box(m_mat, q, lower, upper, opts, c1, d_norm):
     mu = best_mu.copy()
     f, w = _box_residual(m_mat, q, lower, upper, mu)
     nf = _norm(f)
-    for _ in range(opts.max_fallback):
+    for _ in range(MAX_FALLBACK):
         iterations += 1
         if nf <= tol:
             return mu, w, iterations
@@ -433,10 +434,12 @@ def box_vi_enumerate(m_mat, q, lower, upper, tol=1e-9):
     ------
     NoSolution
         When no pattern is feasible.
+    SolverDiverged
+        When m > 12: the patterns are not enumerated, so nothing is decided.
     """
     m_dim = q.size
     if m_dim > 12:
-        raise NoSolution("pattern enumeration capped at m = 12")
+        raise SolverDiverged("pattern enumeration capped at m = 12")
     scale = 1.0 + float(np.max(np.abs(q), initial=0.0))
     finite = np.concatenate([lower[np.isfinite(lower)], upper[np.isfinite(upper)]])
     if finite.size:

@@ -1,10 +1,11 @@
 """System container and structural validation.
 
 A LureSystem bundles the matrix tuple (B, C, D), the drift map, the moving
-constraint set and the passivity certificate used by the integrator. For a
-non-identity storage matrix P the integrator works in congruence coordinates
-x_tilde = L^T x with P = L L^T; trajectories are mapped back, multipliers and
-outputs are unchanged.
+constraint set and the passivity certificate used by the integrator. The
+integrator steps in the caller's coordinates for every storage matrix P: P
+enters the scheme only through the step shift ``LureSystem.kappa``, which
+``linalg.certify`` works out once per system. ``canonicalize`` rewrites a
+system in identity-storage coordinates, as an independent reference.
 """
 
 from __future__ import annotations
@@ -38,7 +39,12 @@ class LureSystem:
 
     @property
     def kappa(self):
-        return self.cert.kappa
+        """Step shift of the implicit scheme. A declared kappa is used for
+        every P; otherwise the shift formula for the identity-storage tuple
+        (B~, C~, D), which is ``cert.kappa`` (the formula for P) when P = I.
+        """
+        shift = self.cert.step_kappa
+        return self.cert.kappa if shift is None else shift
 
     @property
     def P(self):
@@ -120,7 +126,6 @@ class CanonicalMap:
     system: LureSystem
     to_canonical: Callable[[np.ndarray], np.ndarray]
     from_canonical: Callable[[np.ndarray], np.ndarray]
-    identity: bool
 
 
 def canonicalize(sys):
@@ -130,18 +135,15 @@ def canonicalize(sys):
     B_tilde = L^T B, C_tilde = C L^{-T}, D unchanged; the moving set is
     evaluated at the original state. The multiplier inclusion of each step is
     invariant under this congruence, so multipliers and outputs agree between
-    coordinate systems; kappa is re-selected for the transformed tuple.
+    coordinate systems. A declared kappa carries over; otherwise kappa is
+    re-selected for the transformed tuple. :func:`~luresim.simulate` does not
+    use this map; it serves as the reference for stepping with P != I.
     """
-    p = sys.cert.P
-    if np.array_equal(p, np.eye(sys.n)):
+    tilde = linalg.storage_congruence(sys.cert.P, sys.B, sys.C)
+    if tilde is None:
         ident = lambda x: x
-        return CanonicalMap(system=sys, to_canonical=ident, from_canonical=ident,
-                            identity=True)
-    ell = np.linalg.cholesky(linalg.sym(p))
-    ell_t = ell.T
-    ell_inv_t = np.linalg.inv(ell_t)
-    b_t = ell_t @ sys.B
-    c_t = sys.C @ ell_inv_t
+        return CanonicalMap(system=sys, to_canonical=ident, from_canonical=ident)
+    ell_t, ell_inv_t, b_t, c_t = tilde
     drift = sys.drift
 
     def drift_t(t, xt):
@@ -163,11 +165,11 @@ def canonicalize(sys):
         k_t,
         drift=drift_t,
         lf=sys.lf * cond,
+        kappa=sys.kappa if sys.cert.step_kappa is None else None,
         sigma=sys.sigma,
     )
     return CanonicalMap(
         system=sys_t,
         to_canonical=lambda x: ell_t @ x,
         from_canonical=lambda xt: ell_inv_t @ xt,
-        identity=False,
     )

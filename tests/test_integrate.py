@@ -1,7 +1,10 @@
 """Catching-up integration: closed forms, invariants, diagnostics, CSV."""
 
+import collections
 import hashlib
 import io
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,13 +15,20 @@ from luresim import (
     DecomposedMovingSet,
     GeneralMovingSet,
     SolverOptions,
+    analysis,
+    attractivity_check,
     build_system,
+    canonicalize,
     from_csv,
+    linalg,
+    lipschitz_dependence_check,
     load_scenario,
     make_system,
     richardson_refine,
+    scenario,
     simulate,
     solve_step,
+    system,
     to_csv,
 )
 from luresim.errors import NonFiniteDrift, NotAdmissible, SolverDiverged
@@ -234,6 +244,95 @@ def test_simulate_rows_replay_bitwise_through_solve_step(name):
         assert np.array_equal(step.lam, traj.lambdas[i + 1])
         assert step.residual == traj.residuals[i + 1]
         assert step.iterations == traj.iterations[i + 1]
+
+
+def _storage_scenario(kappa=None):
+    # non-identity storage and B != C^T: the step shift of identity-storage
+    # coordinates differs from the P-formula kappa; x0 starts on a face
+    data = {
+        "name": "storage", "n": 2, "m": 2,
+        "A": [[-1.0, 0.0], [0.0, -1.2]],
+        "B": [[0.0, 0.0], [0.0, 1.0]],
+        "C": [[0.1, 0.0], [0.0, 1.05]],
+        "D": [[0.0, 0.0], [0.0, 0.8]],
+        "P": [[1.3, 0.15], [0.15, 0.9]],
+        "set": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]},
+        "sigma": 1.0,
+        "x0": [0.5, 3.0], "T": 2.0, "n_steps": 400,
+    }
+    if kappa is not None:
+        data["kappa"] = kappa
+    return load_scenario(data)
+
+
+@pytest.mark.parametrize("kappa", [None, -0.05])
+def test_storage_run_steps_in_caller_coordinates(kappa):
+    sc = _storage_scenario(kappa)
+    sys_ = make_system(sc).system
+    if kappa is None:
+        assert sys_.kappa != sys_.cert.kappa
+    else:
+        assert sys_.kappa == kappa
+    traj = simulate(sys_, sc.x0, sc.t_final, sc.n_steps)
+    assert np.max(np.abs(traj.lambdas)) > 0.1
+    h = sc.t_final / sc.n_steps
+    for i in range(traj.n_steps):
+        x = traj.states[i]
+        y_in = x + h * sys_.drift(traj.times[i], x) - (h * sys_.kappa) * x
+        step = solve_step(sys_, traj.times[i + 1], x, y_in, h)
+        assert np.array_equal(step.x_next, traj.states[i + 1])
+        assert np.array_equal(step.lam, traj.lambdas[i + 1])
+    # reference: the same run in identity-storage coordinates, mapped back
+    canon = canonicalize(sys_)
+    ref = simulate(canon.system, canon.to_canonical(sc.x0), sc.t_final,
+                   sc.n_steps)
+    back = np.array([canon.from_canonical(xt) for xt in ref.states])
+    scale = np.max(np.abs(traj.states))
+    assert np.max(np.abs(traj.states - back)) <= 1e-12 * scale
+    assert np.max(np.abs(traj.lambdas - ref.lambdas)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("storage", [False, True])
+def test_system_is_certified_once_and_never_rebuilt_by_a_run(monkeypatch, storage):
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(linalg, "certify", counted("certify", linalg.certify))
+    build = counted("build_system", system.build_system)
+    for module in (system, scenario, analysis):
+        monkeypatch.setattr(module, "build_system", build)
+    if storage:
+        sc = _storage_scenario()
+    else:
+        sc = load_scenario(scenario_path("example_thm4.json"))
+    calls.clear()
+    sys_ = make_system(sc).system
+    assert calls == {"build_system": 1, "certify": 1}
+    calls.clear()
+    simulate(sys_, sc.x0, sc.t_final, 50)
+    attractivity_check(sys_, sc.x0, sc.t_final, 50)
+    lipschitz_dependence_check(sys_, sc.x0, 0.5 * sc.x0, sc.t_final, 50)
+    assert calls == {}
+
+
+def test_box_only_run_never_imports_scipy_optimize():
+    # scipy.optimize is imported with the first polyhedron only
+    code = (
+        "import os, sys, luresim\n"
+        "path = os.path.join(luresim.scenario_dir(), 'example_thm4.json')\n"
+        "sc = luresim.load_scenario(path)\n"
+        "luresim.simulate(luresim.make_system(sc).system, sc.x0, sc.t_final,"
+        " sc.n_steps)\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert res.returncode == 0, res.stderr
 
 
 def test_nan_drift_is_named_with_step_and_time():

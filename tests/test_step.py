@@ -114,6 +114,14 @@ def test_box_vi_enumerate_infeasible_raises():
                          np.array([0.5, -1.0]), np.array([1.0, 1.0]))
 
 
+def test_box_vi_enumerate_cap_is_not_a_verdict():
+    # above m = 12 no pattern is examined; mu = 0 solves this instance, so
+    # the cap must not claim that no multiplier exists
+    with pytest.raises(SolverDiverged, match="capped at m = 12") as info:
+        box_vi_enumerate(np.eye(13), np.zeros(13), -np.ones(13), np.ones(13))
+    assert not isinstance(info.value, NoSolution)
+
+
 def test_inner_solver_matches_enumeration():
     rng = np.random.default_rng(21)
     for _ in range(120):
