@@ -88,19 +88,16 @@ def _quadratic_term(l_const, c1):
 
 
 def _envelope_report(times, observed, base, rate, h, slack_scale, env_tol, decay):
-    envelope = []
-    max_violation = -np.inf
     additive = 5.0 * h * (1.0 + slack_scale)
-    for t, obs in zip(times, observed):
-        growth = np.exp(-rate * t) if decay else np.exp(rate * t)
-        allowed = base * growth * (1.0 + env_tol) + additive
-        envelope.append((float(t), float(obs), float(allowed)))
-        max_violation = max(max_violation, float(obs - allowed))
+    growth = np.exp(-rate * times) if decay else np.exp(rate * times)
+    allowed = base * growth * (1.0 + env_tol) + additive
+    # fmax skips NaN points, and an empty envelope gives -inf
+    max_violation = float(np.fmax.reduce(observed - allowed, initial=-np.inf))
     return RateReport(
         claimed_rate=float(rate),
-        max_violation=float(max_violation),
+        max_violation=max_violation,
         passed=bool(max_violation <= 0.0),
-        envelope=envelope,
+        envelope=list(zip(times.tolist(), observed.tolist(), allowed.tolist())),
     )
 
 

@@ -31,9 +31,10 @@ __all__ = ["Trajectory", "from_csv", "richardson_refine", "simulate", "to_csv"]
 class Trajectory:
     """Discrete trajectory on a uniform grid.
 
-    ``outputs[i] = C states[i] + D lambdas[i]`` by construction. Rows are
-    aligned: entry i belongs to time ``times[i]``; residuals/iterations at
-    row 0 describe the stationary multiplier solve.
+    ``outputs[i]`` is the ``w`` of step i, the argument at which its
+    normal-cone inclusion was checked, equal to ``C states[i] + D lambdas[i]``.
+    Rows are aligned: entry i belongs to time ``times[i]``; row 0 (outputs,
+    residuals, iterations) describes the stationary multiplier solve.
     """
 
     times: np.ndarray
@@ -135,50 +136,41 @@ def simulate(sys, x0, t_final, n_steps, opts=None):
 
 
 def _assemble(sys, times, states, mus, ws, residuals, iterations, h):
-    lambdas = -mus
-    outputs = states @ sys.C.T + lambdas @ sys.D.T
-    diag = _diagnostics(sys, times, states, mus, ws, h)
+    diag = _diagnostics(sys, states, mus, ws, h)
     return Trajectory(
         times=times.copy(),
         states=states.copy(),
-        lambdas=lambdas,
-        outputs=outputs,
+        lambdas=-mus,
+        outputs=ws.copy(),
         residuals=residuals.copy(),
         iterations=iterations.copy(),
         diag=diag,
     )
 
 
-def _diagnostics(sys, times, states, mus, ws, h):
-    n_pts = times.size
-    diag = {}
-    if n_pts >= 2:
-        dx = np.linalg.norm(np.diff(states, axis=0), axis=1)
-        diag["max_dx_over_h"] = float(np.max(dx) / h)
-    else:
-        diag["max_dx_over_h"] = 0.0
+def _diagnostics(sys, states, mus, ws, h):
+    # dx[i] = ||x_{i+1} - x_i||
+    dx = np.linalg.norm(np.diff(states, axis=0), axis=1)
     lk1, lk2 = lipschitz_constants(sys.K)
-    min_gap = np.inf
-    violations = 0
-    # step i produced mus[i] in the cone of K(t_i, x_{i-1}); consecutive
-    # steps differ by dt = h and dx = ||x_{i-1} - x_i||
-    for i in range(1, n_pts - 1):
-        dxi = float(np.linalg.norm(states[i - 1] - states[i]))
-        gap = hypomonotonicity_gap(
-            mus[i], ws[i], mus[i + 1], ws[i + 1], h, dxi, lk1, lk2
-        )
-        slack = (
-            1e-8
-            * (1.0 + np.linalg.norm(mus[i]) + np.linalg.norm(mus[i + 1]))
-            * (1.0 + np.linalg.norm(ws[i]) + np.linalg.norm(ws[i + 1]))
-        )
-        if gap < min_gap:
-            min_gap = gap
-        if gap < -slack:
-            violations += 1
-    diag["hypo_min_gap"] = float(min_gap) if np.isfinite(min_gap) else 0.0
-    diag["hypo_violations"] = violations
-    return diag
+    # step i produced mus[i] in the cone of K(t_i, x_{i-1}); the pair of
+    # steps i, i+1 (i >= 1) differs by dt = h and dx[i - 1]
+    gap = hypomonotonicity_gap(
+        mus[1:-1], ws[1:-1], mus[2:], ws[2:], h, dx[:-1], lk1, lk2
+    )
+    mu_norm = np.linalg.norm(mus, axis=1)
+    w_norm = np.linalg.norm(ws, axis=1)
+    slack = (
+        1e-8
+        * (1.0 + mu_norm[1:-1] + mu_norm[2:])
+        * (1.0 + w_norm[1:-1] + w_norm[2:])
+    )
+    # fmin skips NaN gaps, and an empty run gives inf
+    min_gap = np.fmin.reduce(gap, initial=np.inf)
+    return {
+        "max_dx_over_h": float(np.max(dx, initial=0.0) / h),
+        "hypo_min_gap": float(min_gap) if np.isfinite(min_gap) else 0.0,
+        "hypo_violations": int(np.count_nonzero(gap < -slack)),
+    }
 
 
 def richardson_refine(sys, x0, t_final, n0, levels, opts=None):

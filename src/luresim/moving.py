@@ -190,14 +190,18 @@ def hypomonotonicity_gap(mu1, w1, mu2, w2, dt, dx, lk1, lk2):
         <mu1 - mu2, w1 - w2> >= -(||mu1|| + ||mu2||) (lk1 |dt| + lk2 dx).
 
     Returns lhs - rhs of that inequality; nonnegative (up to solver noise)
-    along any correctly integrated trajectory.
+    along any correctly integrated trajectory. Broadcasts over leading axes:
+    the last axis of mu1, w1, mu2, w2 holds the vectors, and dt, dx, lk1,
+    lk2 broadcast against the rest. One pair gives a float, stacked pairs an
+    array.
     """
     mu1 = np.asarray(mu1, dtype=float)
     mu2 = np.asarray(mu2, dtype=float)
     w1 = np.asarray(w1, dtype=float)
     w2 = np.asarray(w2, dtype=float)
-    inner = float(np.dot(mu1 - mu2, w1 - w2))
-    budget = (float(np.linalg.norm(mu1)) + float(np.linalg.norm(mu2))) * (
-        lk1 * abs(dt) + lk2 * abs(dx)
+    inner = np.einsum("...i,...i->...", mu1 - mu2, w1 - w2)
+    budget = (np.linalg.norm(mu1, axis=-1) + np.linalg.norm(mu2, axis=-1)) * (
+        lk1 * np.abs(dt) + lk2 * np.abs(dx)
     )
-    return inner + budget
+    gap = inner + budget
+    return float(gap) if gap.ndim == 0 else gap

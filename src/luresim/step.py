@@ -139,6 +139,9 @@ def _newton_box(m_mat, q, lower, upper, opts, c1, d_norm):
     mu = np.zeros(m_dim)
     f, w = _box_residual(m_mat, q, lower, upper, mu)
     nf = _norm(f)
+    if not math.isfinite(nf):
+        # a NaN input or an overflowed bound: no iterate can mend it
+        raise SolverDiverged(f"inner box solve starts at residual {nf}", residual=nf)
     best_mu, best_nf = mu.copy(), nf
     iterations = 0
     eye = np.eye(m_dim)

@@ -20,6 +20,7 @@ from luresim import (
     build_system,
     canonicalize,
     from_csv,
+    hypomonotonicity_gap,
     linalg,
     lipschitz_dependence_check,
     load_scenario,
@@ -83,6 +84,21 @@ def test_outputs_are_assembled_from_states_and_multipliers():
                           traj.states @ sys_.C.T + traj.lambdas @ sys_.D.T)
 
 
+def test_outputs_are_the_steps_cone_arguments():
+    # row i + 1 of outputs is the w at which step i checked its cone
+    # inclusion; row 0 is the w of the stationary solve
+    sys_, sc = _load_system("example_thm3.json")
+    traj = simulate(sys_, sc.x0, sc.t_final, sc.n_steps)
+    h = sc.t_final / sc.n_steps
+    mu0 = -traj.lambdas[0]
+    assert np.array_equal(traj.outputs[0], sys_.C @ sc.x0 - sys_.D @ mu0)
+    for i in range(traj.n_steps):
+        x = traj.states[i]
+        y_in = x + h * sys_.drift(traj.times[i], x) - (h * sys_.kappa) * x
+        step = solve_step(sys_, traj.times[i + 1], x, y_in, h)
+        assert np.array_equal(step.w, traj.outputs[i + 1])
+
+
 def test_simulation_is_deterministic():
     sys_, sc = _load_system("example_thm4.json")
     a = simulate(sys_, sc.x0, sc.t_final, sc.n_steps)
@@ -100,6 +116,32 @@ def test_diagnostics_have_no_hypomonotonicity_violations():
         traj = simulate(sys_, sc.x0, sc.t_final, sc.n_steps)
         assert traj.diag["hypo_violations"] == 0, name
         assert traj.diag["max_dx_over_h"] > 0.0
+
+
+def test_diagnostics_count_violations_against_the_pairwise_formula():
+    # a box that swings with sin 3t while declaring no time variation: the
+    # run breaks the hypomonotonicity inequality on some pairs of steps
+    ms = GeneralMovingSet(
+        lambda t, x: Box([np.sin(3.0 * t) - 0.5], [np.sin(3.0 * t) + 0.5]),
+        0.0, 0.0,
+    )
+    sys_ = build_system([[1.0]], [[1.0]], [[0.0]], ms)
+    traj = simulate(sys_, np.zeros(1), 3.0, 300)
+    h = 3.0 / 300
+    mus, ws, xs = -traj.lambdas, traj.outputs, traj.states
+    gaps, violations = [], 0
+    for i in range(1, traj.times.size - 1):
+        gap = hypomonotonicity_gap(mus[i], ws[i], mus[i + 1], ws[i + 1], h,
+                                   float(np.linalg.norm(xs[i - 1] - xs[i])),
+                                   0.0, 0.0)
+        slack = (1e-8 * (1.0 + np.linalg.norm(mus[i]) + np.linalg.norm(mus[i + 1]))
+                 * (1.0 + np.linalg.norm(ws[i]) + np.linalg.norm(ws[i + 1])))
+        gaps.append(gap)
+        violations += int(gap < -slack)
+    assert violations > 0
+    assert traj.diag["hypo_violations"] == violations
+    assert traj.diag["hypo_min_gap"] == min(gaps)
+    assert traj.diag["hypo_min_gap"] == pytest.approx(-0.0649, abs=1e-4)
 
 
 def test_csv_round_trip_is_exact(tmp_path):

@@ -167,6 +167,21 @@ def test_hypomonotonicity_gap_values():
     # state budget enters through lk2 * |dx|
     gap = hypomonotonicity_gap([1.0], [0.0], [0.0], [1.0], 0.0, 2.0, 0.0, 0.5)
     assert gap == pytest.approx(0.0)
+    assert isinstance(gap, float)
+    # the three cases stacked as rows give the three scalar results
+    stacked = hypomonotonicity_gap(
+        [[1.0], [1.0], [1.0]], [[1.0], [0.0], [0.0]],
+        [[0.0], [0.0], [0.0]], [[0.0], [1.0], [1.0]],
+        np.array([0.0, 0.5, 0.0]), np.array([0.0, 0.0, 2.0]),
+        np.array([0.0, 2.0, 0.0]), np.array([0.0, 0.0, 0.5]),
+    )
+    single = [
+        hypomonotonicity_gap([1.0], [1.0], [0.0], [0.0], 0.0, 0.0, 0.0, 0.0),
+        hypomonotonicity_gap([1.0], [0.0], [0.0], [1.0], 0.5, 0.0, 2.0, 0.0),
+        hypomonotonicity_gap([1.0], [0.0], [0.0], [1.0], 0.0, 2.0, 0.0, 0.5),
+    ]
+    assert stacked.shape == (3,)
+    assert stacked.tolist() == single
 
 
 def test_admissible_is_undetermined_when_the_solver_gives_up(monkeypatch):

@@ -274,6 +274,6 @@ def test_translation_overflowing_a_box_bound_is_reported_as_empty():
         lambda t: np.array([1e308]),
     )
     sys_ = build_system([[1.0]], [[1.0]], [[1.0]], ms)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="raise"):
         with pytest.raises(EmptySet):
             solve_step(sys_, 0.1, np.zeros(1), np.zeros(1), 0.1)
