@@ -17,7 +17,7 @@ import numpy as np
 from . import sets
 from .errors import HypothesisFailed, MissingConstant
 from .integrate import simulate
-from .linalg import spectral_norm, storage_mismatch
+from .linalg import select_kappa, spectral_norm, storage_mismatch
 from .moving import DecomposedMovingSet
 from .system import build_system
 
@@ -232,7 +232,8 @@ def perturb_transform(sys_measured, c_reference):
     ``K(t) - (C_bar - C) x``. The rewritten set keeps the decomposed form
     when ``rge(C_bar - C)`` lies in ``rge(D + D^T)``; otherwise it is
     downgraded to the general form (trajectories unaffected, uniqueness-based
-    conclusions unavailable).
+    conclusions unavailable). A declared kappa carries over; one that was
+    not declared is derived again for ``C``.
 
     Returns
     -------
@@ -258,6 +259,10 @@ def perturb_transform(sys_measured, c_reference):
         lh1=k_old.lh1,
         lh2=k_old.lh2,
     )
+    # the certificate keeps no flag for a declared kappa; an undeclared one
+    # is the formula value of the measured tuple, and is derived again for C
+    cert = sys_measured.cert
+    formula = select_kappa(cert.P, sys_measured.B, sys_measured.C, sys_measured.D)
     new_sys = build_system(
         sys_measured.B,
         c_ref,
@@ -265,7 +270,8 @@ def perturb_transform(sys_measured, c_reference):
         k_new,
         drift=sys_measured.drift,
         lf=sys_measured.lf,
-        p=sys_measured.cert.P,
+        p=cert.P,
+        kappa=None if cert.kappa == formula else cert.kappa,
         sigma=sys_measured.sigma,
         on_range_violation="general",
     )

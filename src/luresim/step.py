@@ -19,6 +19,10 @@ after exact elimination of the state block) with a damped fixed-point
 fallback, then exact face enumeration up to m = ENUM_MAX_M = 8; for
 polyhedral K active-set enumeration over the constraint rows. M depends only
 on the system and h; simulate computes it once per run.
+
+There is one active-set enumerator, _active_set_enumerate. A polyhedron
+hands it its rows; box_vi_enumerate hands it a box's finite faces as rows,
+the faces of one coordinate forming one row group.
 """
 
 from __future__ import annotations
@@ -201,40 +205,45 @@ def _newton_box(m_mat, q, lower, upper, opts, c1, d_norm):
     )
 
 
-def _poly_vi_enumerate(a, b, m_mat, q, tol):
+def _active_set_enumerate(a, b, m_mat, q, tol, groups=None):
     """All KKT-consistent multipliers of mu in N_{Ay<=b}(q - M mu).
 
-    mu = A_S^T nu with nu >= 0 on an active subset S; returns the feasible
-    candidate of least multiplier norm together with the count of patterns
-    examined. Raises NoSolution when no subset works.
+    mu = A_S^T nu with nu >= 0 on an active subset S of the rows that holds
+    at most one row of each group (by default every row is its own group);
+    returns the feasible candidate of least multiplier norm together with
+    the count of subsets examined. Raises NoSolution when no subset works;
+    a candidate with a NaN fails every test.
     """
     k, m_dim = a.shape
-    if k > 16:
-        raise SolverDiverged("polyhedral step enumeration capped at 16 rows")
-    scale = 1.0 + float(np.max(np.abs(q))) + (float(np.max(np.abs(b))) if k else 0.0)
+    if groups is None:
+        groups = [(i,) for i in range(k)]
+    scale = 1.0 + float(np.max(np.abs(q), initial=0.0)) + float(
+        np.max(np.abs(b), initial=0.0))
+    bound = tol * scale
     best = None
     examined = 0
-    for size in range(0, min(k, m_dim) + 1):
-        for subset in itertools.combinations(range(k), size):
-            examined += 1
-            idx = list(subset)
-            a_s = a[idx]
-            lhs = a_s @ m_mat @ a_s.T
-            rhs = a_s @ q - b[idx]
-            nu = np.linalg.lstsq(lhs, rhs, rcond=None)[0] if size else np.zeros(0)
-            if size and float(np.max(np.abs(lhs @ nu - rhs))) > tol * scale:
-                continue
-            if size and float(np.min(nu)) < -tol * scale:
-                continue
-            mu = a_s.T @ nu if size else np.zeros(m_dim)
-            w = q - m_mat @ mu
-            if k and float(np.max(a @ w - b)) > tol * scale:
-                continue
-            nrm = float(np.linalg.norm(mu))
-            if best is None or nrm < best[0]:
-                best = (nrm, mu, w)
+    for size in range(0, min(len(groups), m_dim) + 1):
+        for chosen in itertools.combinations(groups, size):
+            for subset in itertools.product(*chosen):
+                examined += 1
+                idx = list(subset)
+                a_s = a[idx]
+                lhs = a_s @ m_mat @ a_s.T
+                rhs = a_s @ q - b[idx]
+                nu = np.linalg.lstsq(lhs, rhs, rcond=None)[0] if size else np.zeros(0)
+                if size and not float(np.max(np.abs(lhs @ nu - rhs))) <= bound:
+                    continue
+                if size and not float(np.min(nu)) >= -bound:
+                    continue
+                mu = a_s.T @ nu if size else np.zeros(m_dim)
+                w = q - m_mat @ mu
+                if not float(np.max(a @ w - b, initial=-np.inf)) <= bound:
+                    continue
+                nrm = float(np.linalg.norm(mu))
+                if best is None or nrm < best[0]:
+                    best = (nrm, mu, w)
     if best is None:
-        raise NoSolution("no feasible active set for the polyhedral step")
+        raise NoSolution("no feasible active set")
     return best[1], best[2], examined
 
 
@@ -261,8 +270,10 @@ def _solve_multiplier(k_set, box, m_mat, q, opts, c1, d_norm):
             k_set = k_set.base
         if not isinstance(k_set, sets.Polyhedron):
             raise TypeError(f"unsupported set type: {type(k_set).__name__}")
+        if k_set.a.shape[0] > 16:
+            raise SolverDiverged("polyhedral step enumeration capped at 16 rows")
         b = k_set.b if offset is None else k_set.b + k_set.a @ offset
-        return _poly_vi_enumerate(k_set.a, b, m_mat, q, max(opts.tol, 1e-12))
+        return _active_set_enumerate(k_set.a, b, m_mat, q, max(opts.tol, 1e-12))
     lower, upper = box
     try:
         return _newton_box(m_mat, q, lower, upper, opts, c1, d_norm)
@@ -427,11 +438,12 @@ def solve_static_multiplier(k_set, c_mat, d_mat, x0, opts=None, c1=None):
 def box_vi_enumerate(m_mat, q, lower, upper, tol=1e-9):
     """Least-norm solution of ``mu in N_box(q - M mu)`` by face patterns.
 
-    Every coordinate is pinned to its lower face, upper face, or left free
-    (3^m patterns); each pattern yields a linear system for the active
-    multiplier components, and candidates are filtered by multiplier sign
-    (nonpositive on lower faces, nonnegative on upper) and by the free
-    coordinates landing inside the box. Returns (mu, w, patterns_examined).
+    The box's finite faces are handed to the one active-set enumerator as
+    rows, coordinate by coordinate: ``+e_i . y <= upper_i``, then
+    ``-e_i . y <= -lower_i``. The faces of one coordinate form a row group,
+    so each coordinate is pinned to one face or left free, and every
+    pattern of finite faces (3^m when all are finite) is examined once.
+    Returns (mu, w, patterns_examined).
 
     Raises
     ------
@@ -443,45 +455,19 @@ def box_vi_enumerate(m_mat, q, lower, upper, tol=1e-9):
     m_dim = q.size
     if m_dim > 12:
         raise SolverDiverged("pattern enumeration capped at m = 12")
-    scale = 1.0 + float(np.max(np.abs(q), initial=0.0))
-    finite = np.concatenate([lower[np.isfinite(lower)], upper[np.isfinite(upper)]])
-    if finite.size:
-        scale += float(np.max(np.abs(finite)))
-    best = None
-    examined = 0
-    for pattern in itertools.product((-1, 0, 1), repeat=m_dim):
-        pat = np.array(pattern)
-        act = np.where(pat != 0)[0]
-        target = np.where(pat[act] < 0, lower[act], upper[act])
-        if act.size and not np.all(np.isfinite(target)):
-            continue
-        examined += 1
-        mu = np.zeros(m_dim)
-        if act.size:
-            sub = m_mat[np.ix_(act, act)]
-            rhs = q[act] - target
-            mu_act = np.linalg.lstsq(sub, rhs, rcond=None)[0]
-            if float(np.max(np.abs(sub @ mu_act - rhs))) > tol * scale:
-                continue
-            mu[act] = mu_act
-            sign_ok = np.all(
-                np.where(pat[act] < 0, mu_act <= tol * scale, mu_act >= -tol * scale)
-            )
-            if not sign_ok:
-                continue
-        w = q - m_mat @ mu
-        free = np.where(pat == 0)[0]
-        if free.size and not np.all(
-            (w[free] >= lower[free] - tol * scale)
-            & (w[free] <= upper[free] + tol * scale)
-        ):
-            continue
-        nrm = float(np.linalg.norm(mu))
-        if best is None or nrm < best[0] - 1e-15:
-            best = (nrm, mu, w)
-    if best is None:
-        raise NoSolution("no feasible face pattern")
-    return best[1], best[2], examined
+    coords, signs, b, groups = [], [], [], []
+    for i in range(m_dim):
+        faces = [(s, f) for s, f in ((1.0, upper[i]), (-1.0, -lower[i]))
+                 if math.isfinite(f)]
+        if faces:
+            groups.append(range(len(b), len(b) + len(faces)))
+        for s, f in faces:
+            coords.append(i)
+            signs.append(s)
+            b.append(f)
+    a = np.zeros((len(b), m_dim))
+    a[np.arange(len(b)), coords] = signs
+    return _active_set_enumerate(a, np.array(b, dtype=float), m_mat, q, tol, groups)
 
 
 def brute_force_step_oracle(sys, t_next, x_prev, y_in, h, tol=1e-9):
@@ -489,8 +475,9 @@ def brute_force_step_oracle(sys, t_next, x_prev, y_in, h, tol=1e-9):
 
     Independent cross-check route for :func:`solve_step` on box-shaped sets:
     it shares the step guards, M and the result algebra, and differs only in
-    its inner solve, :func:`box_vi_enumerate`. The least-norm feasible
-    candidate is returned.
+    its inner solve, :func:`box_vi_enumerate` (the one active-set enumerator
+    over the box's faces, one row group per coordinate) where solve_step
+    runs Newton. The least-norm feasible candidate is returned.
     """
     plan = _StepPlan(sys, h)
     x_prev = np.asarray(x_prev, dtype=float).reshape(-1)

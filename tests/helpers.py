@@ -37,19 +37,33 @@ def run_cli(*args, env_extra=None, cwd=None):
     )
 
 
-def random_box(rng, m, scale=1.0):
-    """Random box in R^m with occasional infinite and pinned faces."""
+# the kinds of a box coordinate: no lower face, no upper face, both faces at
+# one point, two distinct finite faces
+FACE_KINDS = ("no_lower", "no_upper", "pinned", "finite")
+
+
+def random_box(rng, m, scale=1.0, kinds=None):
+    """Random box in R^m with occasional infinite and pinned faces.
+
+    ``kinds`` (one of FACE_KINDS per coordinate) fixes each coordinate's
+    kind; by default it is rolled: 15% no lower face, 15% no upper face, 5%
+    pinned.
+    """
     lower = np.empty(m)
     upper = np.empty(m)
     for i in range(m):
         lo = scale * rng.normal()
         width = abs(scale * rng.normal()) + 0.1 * scale
-        roll = rng.random()
-        if roll < 0.15:
+        if kinds is None:
+            roll = rng.random()
+            kind = FACE_KINDS[np.searchsorted([0.15, 0.30, 0.35], roll, "right")]
+        else:
+            kind = kinds[i]
+        if kind == "no_lower":
             lower[i], upper[i] = -np.inf, lo
-        elif roll < 0.30:
+        elif kind == "no_upper":
             lower[i], upper[i] = lo, np.inf
-        elif roll < 0.35:
+        elif kind == "pinned":
             lower[i] = upper[i] = lo
         else:
             lower[i], upper[i] = lo, lo + width
@@ -68,7 +82,8 @@ def random_psd(rng, m, rank=None):
     return d
 
 
-def random_step_instance(rng):
+def random_step_instance(rng, m=None, family=None, rank=None, kinds=None,
+                         offset=False):
     """One random implicit-step problem over a box constraint.
 
     Two subfamilies, both solvable by construction:
@@ -78,29 +93,37 @@ def random_step_instance(rng):
     The step size is shrunk until the reduced matrix M = h' C B + D has a
     positive definite symmetric part, which makes the variational problem
     uniquely solvable on every face pattern.
+
+    ``m``, ``family`` ("r" for the first subfamily, "p" for the second),
+    ``rank`` (of D in the first) and ``kinds`` (see :func:`random_box`) fix
+    what is otherwise drawn. ``offset`` adds K's offset H x + g with
+    rge(H) in rge(D + D^T) and g nonzero; by default K is the box itself.
     """
-    m = int(rng.integers(1, 4))
+    if m is None:
+        m = int(rng.integers(1, 4))
     n = int(rng.integers(m, 5))
     c = rng.normal(size=(m, n))
     while np.linalg.matrix_rank(c) < m:
         c = rng.normal(size=(m, n))
-    if rng.random() < 0.7:
-        d = random_psd(rng, m)
+    if family is None:
+        family = "r" if rng.random() < 0.7 else "p"
+    if family == "r":
+        d = random_psd(rng, m, rank)
         z = rng.normal(size=(n, m))
         b = c.T + z @ range_projector(d + d.T)
     else:
         d = random_psd(rng, m, rank=m) + (0.1 + rng.random()) * np.eye(m)
         b = rng.normal(size=(n, m))
-    box = random_box(rng, m)
+    box = random_box(rng, m, kinds=kinds)
+    h_mat, g = np.zeros((m, n)), np.zeros(m)
+    if offset:
+        h_mat = range_projector(d + d.T) @ rng.normal(size=(m, n))
+        g = rng.normal(size=m)
     sys_ = build_system(
         b,
         c,
         d,
-        DecomposedMovingSet(
-            lambda t, _box=box: _box,
-            np.zeros((m, n)),
-            lambda t, _z=np.zeros(m): _z,
-        ),
+        DecomposedMovingSet(lambda t, _box=box: _box, h_mat, lambda t, _g=g: _g),
     )
     kappa = sys_.kappa
     h = 0.05

@@ -170,6 +170,19 @@ def test_perturb_transform_folds_output_mismatch():
     assert diffs[0] / max(diffs[1], 1e-300) > 2.5  # about first order
 
 
+def test_perturb_transform_keeps_a_declared_kappa():
+    box = Box([-1.0], [1.0])
+    declared = _static_system([[1.0]], [[1.2]], [[1.0]], box, kappa=-0.5)
+    new_sys, _ = perturb_transform(declared, [[1.0]])
+    assert new_sys.kappa == -0.5
+    # an undeclared kappa is the formula's, derived again for the new C:
+    # -||B - C^T||^2 / (4 c1) = -0.04 / 8 before, 0 once C^T = B
+    derived = _static_system([[1.0]], [[1.2]], [[1.0]], box)
+    assert derived.kappa == pytest.approx(-0.005, abs=1e-15)
+    new_sys, _ = perturb_transform(derived, [[1.0]])
+    assert new_sys.kappa == 0.0
+
+
 def test_perturb_transform_downgrades_outside_feedthrough_range():
     b = np.array([[0.0, 0.0], [0.0, 1.0]])
     c_meas = b + 0.1 * np.eye(2)

@@ -4,8 +4,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_step_instance
+from helpers import FACE_KINDS, random_step_instance
 from luresim import (
     Box,
     DecomposedMovingSet,
@@ -29,6 +31,7 @@ from luresim.errors import (
     StepTooLarge,
     StepTooSmall,
 )
+from luresim.sets import as_box
 
 
 def _static_box_system(b, c, d, box, **kw):
@@ -104,6 +107,18 @@ def test_box_vi_enumerate_frozen_cases():
                                 np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
     assert np.allclose(mu, [1.0, -2.0])
     assert np.allclose(w, [1.0, -1.0])
+    # coordinate 0 has no lower face, coordinate 1 is pinned: one pattern
+    # per choice of at most one finite face of each coordinate
+    lower = np.array([-np.inf, 0.5, -1.0])
+    upper = np.array([1.0, 0.5, 1.0])
+    m_mat = np.array([[2.0, 0.5, 0.0], [-0.5, 1.0, 0.25], [0.0, -0.25, 1.5]])
+    mu, w, examined = box_vi_enumerate(m_mat, np.array([0.5, 0.0, -2.5]),
+                                       lower, upper)
+    faces = np.isfinite(lower).astype(int) + np.isfinite(upper)
+    assert examined == np.prod(1 + faces) == 18
+    # coordinate 0 free, 1 on its pinned face, 2 on its lower face
+    assert np.allclose(mu, [0.0, -0.24, -1.04], rtol=0.0, atol=1e-12)
+    assert np.allclose(w, [0.62, 0.5, -1.0], rtol=0.0, atol=1e-12)
 
 
 def test_box_vi_enumerate_infeasible_raises():
@@ -148,6 +163,58 @@ def test_solve_step_matches_oracle_sample():
         scale = 1.0 + np.linalg.norm(ora.x_next)
         assert np.linalg.norm(res.x_next - ora.x_next) <= 1e-8 * scale
         assert np.linalg.norm(sys_.B @ (res.mu - ora.mu)) <= 1e-8 * scale
+
+
+@st.composite
+def _step_instances(draw):
+    # the structure is drawn (and shrunk) here, the numbers by the seed
+    m = draw(st.integers(1, 3))
+    family = draw(st.sampled_from("rp"))
+    rank = draw(st.integers(0, m))
+    kinds = draw(st.lists(st.sampled_from(FACE_KINDS), min_size=m, max_size=m))
+    offset = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_step_instance(rng, m=m, family=family, rank=rank,
+                                kinds=kinds, offset=offset)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_step_instances())
+def test_solve_step_matches_oracle_property(instance):
+    # the criterion-1 bounds, relative to 1 + ||x_next||
+    sys_, t_next, x_prev, y_in, h = instance
+    res = solve_step(sys_, t_next, x_prev, y_in, h)
+    ora = brute_force_step_oracle(sys_, t_next, x_prev, y_in, h)
+    scale = 1.0 + np.linalg.norm(ora.x_next)
+    assert np.linalg.norm(res.x_next - ora.x_next) <= 1e-8 * scale
+    assert np.linalg.norm(sys_.B @ (res.mu - ora.mu)) <= 1e-8 * scale
+
+
+def test_box_and_its_polyhedron_step_alike():
+    # one set two ways: as a Box (Newton) and as the Polyhedron of its
+    # finite faces (active-set enumeration), under the same offset H x + g
+    rng = np.random.default_rng(53)
+    for _ in range(40):
+        m = int(rng.integers(1, 4))
+        kinds = list(rng.choice(FACE_KINDS, size=m))
+        if not {"no_lower", "no_upper"} & set(kinds):
+            kinds[int(rng.integers(m))] = "no_lower"
+        sys_, t_next, x_prev, y_in, h = random_step_instance(
+            rng, m=m, kinds=kinds, offset=True)
+        box = sys_.K.base(t_next)
+        eye = np.eye(m)
+        up, lo = np.isfinite(box.upper), np.isfinite(box.lower)
+        poly = Polyhedron(np.vstack([eye[up], -eye[lo]]),
+                          np.concatenate([box.upper[up], -box.lower[lo]]))
+        ms = DecomposedMovingSet(lambda t, _p=poly: _p, sys_.K.h_matrix, sys_.K.g)
+        poly_sys = build_system(sys_.B, sys_.C, sys_.D, ms)
+        # as_box routes a box to Newton and anything else to enumeration
+        assert as_box(poly_sys.K.at(t_next, x_prev)) is None
+        assert as_box(sys_.K.at(t_next, x_prev)) is not None
+        got = solve_step(poly_sys, t_next, x_prev, y_in, h)
+        ref = solve_step(sys_, t_next, x_prev, y_in, h)
+        for a, b in ((got.x_next, ref.x_next), (got.w, ref.w)):
+            assert np.linalg.norm(a - b) <= 1e-9 * (1.0 + np.linalg.norm(b))
 
 
 def test_resolvent_nonexpansive_when_output_is_transposed_input():
