@@ -171,9 +171,7 @@ def _stationary(ms, sys, x0, opts):
     """
     k0 = ms.at(0.0, x0)
     try:
-        mu, _, iterations = solve_static_multiplier(
-            k0, sys.C, sys.D, x0, opts, c1=sys.cert.c1
-        )
+        mu, _, iterations = solve_static_multiplier(k0, sys.C, sys.D, x0, opts)
     except NoSolution:
         return False, k0, np.zeros(sys.m), 0
     except SolverDiverged:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -115,6 +115,9 @@ class Scenario:
     c_bar: np.ndarray | None = None
     sigma: float | None = None
     constants: dict | None = None
+    # the SystemReport load_scenario built, which make_system hands back; not
+    # an init field, so a dataclasses.replace copy is built afresh
+    _report: object = field(default=None, init=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -189,7 +192,7 @@ def load_scenario(source):
     Raises ParseError for malformed JSON (with line information) and
     ValidationError for structurally invalid or assumption-violating data.
     The system is built once to surface assumption A1/A2 failures at load
-    time.
+    time; :func:`make_system` returns that build.
     """
     if isinstance(source, dict):
         data = source
@@ -294,7 +297,8 @@ def load_scenario(source):
         sigma=sigma,
         constants=constants,
     )
-    make_system(sc)  # surface assumption violations at load time
+    # surface assumption violations at load time
+    object.__setattr__(sc, "_report", make_system(sc))
     return sc
 
 
@@ -367,7 +371,10 @@ def make_system(sc):
     certification facts become report items. A decomposed moving set whose
     offsets leave rge(D + D^T) is downgraded to the general form with a
     warning (trajectories are unaffected; uniqueness-based conclusions are).
+    A scenario from :func:`load_scenario` returns the report built at load.
     """
+    if sc._report is not None:
+        return sc._report
     warnings = []
     d = sc.d_matrix
     base, lh1 = _bounds_builder(sc.lower, sc.upper)

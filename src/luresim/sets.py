@@ -187,6 +187,12 @@ def _ldp_attempt(an, h, p, disp_scale, max_iter):
     return p - disp_scale * (r[:m] / r[m])
 
 
+def _linprog(c, a, b):
+    # min c.y over the free variables y subject to a y <= b
+    return _scipy_optimize().linprog(c, A_ub=a, b_ub=b,
+                                     bounds=[(None, None)] * c.size, method="highs")
+
+
 def _project_polyhedron(s, p, tol=1e-12):
     a, b = s.a, s.b
     k, m = a.shape
@@ -219,8 +225,7 @@ def _project_polyhedron(s, p, tol=1e-12):
     # the reduction degenerates both when the set is empty and when the
     # projection is much farther than the worst signed distance; settle it
     # with an exact feasibility program, then retry at the right scale
-    lp = _scipy_optimize().linprog(np.zeros(m), A_ub=an, b_ub=bn,
-                                   bounds=[(None, None)] * m, method="highs")
+    lp = _linprog(np.zeros(m), an, bn)
     if lp.status == 2:
         raise EmptySet("polyhedron is empty")
     if not lp.success:
@@ -361,13 +366,13 @@ def support_point(s, d):
     if isinstance(s, Translate):
         return support_point(s.base, d) + s.offset
     if isinstance(s, Polyhedron):
-        res = _scipy_optimize().linprog(-d, A_ub=s.a, b_ub=s.b,
-                                        bounds=[(None, None)] * d.size,
-                                        method="highs")
-        if res.status == 3:
-            raise Unbounded("polyhedron unbounded in the requested direction")
-        if res.status == 2:
+        res = _linprog(-d, s.a, s.b)
+        # HiGHS can label an unbounded LP infeasible (status 2), so that
+        # verdict stands only if the set has no feasible point either
+        if res.status == 2 and not _linprog(np.zeros(d.size), s.a, s.b).success:
             raise EmptySet("polyhedron is empty")
+        if res.status in (2, 3):
+            raise Unbounded("polyhedron unbounded in the requested direction")
         if not res.success:
             raise Unbounded(f"support solve failed: {res.message}")
         return np.asarray(res.x, dtype=float)

@@ -15,10 +15,10 @@ The stationary inclusion at the initial state is the same problem with
 M = D and q = C x0. Both go through one solve policy, _solve_multiplier: for
 box-shaped K a semismooth Newton method on the residual map
 mu -> w - clamp(w + mu) (the multiplier block of the full (x, mu) residual
-after exact elimination of the state block) with a damped fixed-point
-fallback, then exact face enumeration up to m = ENUM_MAX_M = 8; for
-polyhedral K active-set enumeration over the constraint rows. M depends only
-on the system and h; simulate computes it once per run.
+after exact elimination of the state block), and when Newton stalls exact
+face enumeration up to m = ENUM_MAX_M = 8; for polyhedral K active-set
+enumeration over the constraint rows. M depends only on the system and h;
+simulate computes it once per run.
 
 There is one active-set enumerator, _active_set_enumerate. A polyhedron
 hands it its rows; box_vi_enumerate hands it a box's finite faces as rows,
@@ -58,9 +58,8 @@ __all__ = [
 ]
 
 MIN_STEP = 1e-14
-# iteration budgets of the box Newton solve and of its damped fallback
+# iteration budget of the box Newton solve
 MAX_NEWTON = 100
-MAX_FALLBACK = 1000
 # largest m at which a stalled box solve falls back to the 3^m face patterns
 ENUM_MAX_M = 8
 
@@ -110,8 +109,8 @@ def inner_solve_box(m_mat, q, box, opts=None, c1=None, d_norm=None):
 
     Semismooth Newton with elementwise clamp derivatives (slope 1 strictly
     inside the interval, 0 at or beyond a face) and a halving line search on
-    the residual norm; falls back to a damped fixed-point sweep with factor
-    ``rho = min(1, c1 / (1 + ||D||^2))`` when Newton stalls.
+    the residual norm. ``c1`` and ``d_norm`` are unused; they remain so that
+    existing positional calls keep working.
 
     Returns
     -------
@@ -120,7 +119,7 @@ def inner_solve_box(m_mat, q, box, opts=None, c1=None, d_norm=None):
     Raises
     ------
     SolverDiverged
-        If neither phase reaches ``opts.tol``.
+        If Newton stalls above ``opts.tol``.
     """
     if opts is None:
         opts = SolverOptions()
@@ -131,10 +130,10 @@ def inner_solve_box(m_mat, q, box, opts=None, c1=None, d_norm=None):
         raise DimensionMismatch("M must be square and match q")
     if box.lower.size != m_dim:
         raise DimensionMismatch("box dimension mismatch")
-    return _newton_box(m_mat, q, box.lower, box.upper, opts, c1, d_norm)
+    return _newton_box(m_mat, q, box.lower, box.upper, opts)
 
 
-def _newton_box(m_mat, q, lower, upper, opts, c1, d_norm):
+def _newton_box(m_mat, q, lower, upper, opts):
     """Body of :func:`inner_solve_box` on validated arrays and bounds."""
     m_dim = q.size
     # converge below the stored tolerance so residuals recomputed from
@@ -146,11 +145,8 @@ def _newton_box(m_mat, q, lower, upper, opts, c1, d_norm):
     if not math.isfinite(nf):
         # a NaN input or an overflowed bound: no iterate can mend it
         raise SolverDiverged(f"inner box solve starts at residual {nf}", residual=nf)
-    best_mu, best_nf = mu.copy(), nf
-    iterations = 0
     eye = np.eye(m_dim)
-    for _ in range(MAX_NEWTON):
-        iterations += 1
+    for iterations in range(1, MAX_NEWTON + 1):
         if nf <= tol:
             return mu, w, iterations
         z = w + mu
@@ -163,46 +159,20 @@ def _newton_box(m_mat, q, lower, upper, opts, c1, d_norm):
         if not np.all(np.isfinite(delta)):
             delta = np.linalg.lstsq(jac, -f, rcond=None)[0]
         step_len = 1.0
-        improved = False
         for _ in range(30):
             cand = mu + step_len * delta
             fc, wc = _box_residual(m_mat, q, lower, upper, cand)
             nfc = _norm(fc)
-            if nfc < nf or nfc <= tol:
+            # nf > tol here, so a step that reaches tol also lowers nf
+            if nfc < nf:
                 mu, f, w, nf = cand, fc, wc, nfc
-                improved = True
                 break
             step_len *= 0.5
-        if nf < best_nf:
-            best_mu, best_nf = mu.copy(), nf
-        if not improved:
+        else:
             break
     if nf <= tol:
         return mu, w, iterations
-    # damped fixed-point fallback: mu <- mu + rho * residual(mu)
-    d_norm = 0.0 if d_norm is None else float(d_norm)
-    rho = min(1.0, (c1 if c1 is not None else 1.0) / (1.0 + d_norm * d_norm))
-    mu = best_mu.copy()
-    f, w = _box_residual(m_mat, q, lower, upper, mu)
-    nf = _norm(f)
-    for _ in range(MAX_FALLBACK):
-        iterations += 1
-        if nf <= tol:
-            return mu, w, iterations
-        cand = mu + rho * f
-        fc, wc = _box_residual(m_mat, q, lower, upper, cand)
-        nfc = _norm(fc)
-        if nfc >= nf:
-            rho *= 0.5
-            if rho < 1e-8:
-                break
-            continue
-        mu, f, w, nf = cand, fc, wc, nfc
-        if nf < best_nf:
-            best_mu, best_nf = mu.copy(), nf
-    raise SolverDiverged(
-        f"inner box solve stalled at residual {best_nf:.3e}", residual=best_nf
-    )
+    raise SolverDiverged(f"inner box solve stalled at residual {nf:.3e}", residual=nf)
 
 
 def _active_set_enumerate(a, b, m_mat, q, tol, groups=None):
@@ -247,7 +217,7 @@ def _active_set_enumerate(a, b, m_mat, q, tol, groups=None):
     return best[1], best[2], examined
 
 
-def _solve_multiplier(k_set, box, m_mat, q, opts, c1, d_norm):
+def _solve_multiplier(k_set, box, m_mat, q, opts):
     """Solve ``mu in N_K(q - M mu)``; the one place that picks the method.
 
     ``box`` is ``sets.as_box(k_set)``. A box goes to Newton, then to face
@@ -259,7 +229,8 @@ def _solve_multiplier(k_set, box, m_mat, q, opts, c1, d_norm):
     NoSolution
         When enumeration proves that no multiplier exists.
     SolverDiverged
-        When the solver gives up.
+        When Newton stalls on a box with m > ENUM_MAX_M, or a polyhedron has
+        more than 16 rows.
     """
     if box is None:
         # peel Translate layers: N_{S+o}(w) = N_S(w - o), and A(w - o) <= b
@@ -276,7 +247,7 @@ def _solve_multiplier(k_set, box, m_mat, q, opts, c1, d_norm):
         return _active_set_enumerate(k_set.a, b, m_mat, q, max(opts.tol, 1e-12))
     lower, upper = box
     try:
-        return _newton_box(m_mat, q, lower, upper, opts, c1, d_norm)
+        return _newton_box(m_mat, q, lower, upper, opts)
     except SolverDiverged:
         # the bounds come from as_box unvalidated; a translation that
         # overflows a bound to an empty interval can only end up here
@@ -290,12 +261,12 @@ class _StepPlan:
     """Step invariants of one ``(system, h)``: the reduced matrix and friends.
 
     ``simulate`` builds one per run, :func:`solve_step` and the oracle one
-    per call. ``d_norm`` (an SVD) and ``proj`` (an eigendecomposition) wait
-    for their first read, since the oracle needs neither; plain properties,
-    as ``functools.cached_property`` takes a lock on each fresh plan.
+    per call. ``proj`` (an eigendecomposition) waits for its first read,
+    since the oracle does not need it; a plain property, as
+    ``functools.cached_property`` takes a lock on each fresh plan.
     """
 
-    __slots__ = ("sys", "h", "denom", "m_mat", "c1", "_d_norm", "_proj")
+    __slots__ = ("sys", "h", "denom", "m_mat", "_proj")
 
     def __init__(self, sys, h):
         if h <= MIN_STEP:
@@ -307,16 +278,7 @@ class _StepPlan:
         self.h = h
         self.denom = denom
         self.m_mat = (h / denom) * (sys.C @ sys.B) + sys.D
-        self.c1 = sys.cert.c1 if sys.cert is not None else None
-        self._d_norm = None
         self._proj = None
-
-    @property
-    def d_norm(self):
-        if self._d_norm is None:
-            d = self.sys.D
-            self._d_norm = float(np.linalg.norm(d, 2)) if d.size else 0.0
-        return self._d_norm
 
     @property
     def proj(self):
@@ -366,9 +328,7 @@ def _advance(plan, t_next, x_prev, y_in, opts):
     q = (sys.C @ y_in) / plan.denom
     box = sets.as_box(k_set)
     try:
-        mu, _, iterations = _solve_multiplier(
-            k_set, box, plan.m_mat, q, opts, plan.c1, plan.d_norm
-        )
+        mu, _, iterations = _solve_multiplier(k_set, box, plan.m_mat, q, opts)
     except NoSolution as exc:
         raise SolverDiverged(f"step has no multiplier: {exc}") from exc
     mu = _minimal_norm_polish(plan, k_set, box, q, mu, opts.tol)
@@ -420,7 +380,7 @@ def _minimal_norm_polish(plan, k_set, box, q, mu, tol):
     return mu
 
 
-def solve_static_multiplier(k_set, c_mat, d_mat, x0, opts=None, c1=None):
+def solve_static_multiplier(k_set, c_mat, d_mat, x0, opts=None):
     """Solve the stationary inclusion ``mu in N_K(C x0 - D mu)``.
 
     The step solve with M = D and q = C x0; used by the admissibility test
@@ -431,8 +391,7 @@ def solve_static_multiplier(k_set, c_mat, d_mat, x0, opts=None, c1=None):
     if opts is None:
         opts = SolverOptions()
     q = c_mat @ np.asarray(x0, dtype=float).reshape(-1)
-    d_norm = float(np.linalg.norm(d_mat, 2)) if d_mat.size else 0.0
-    return _solve_multiplier(k_set, sets.as_box(k_set), d_mat, q, opts, c1, d_norm)
+    return _solve_multiplier(k_set, sets.as_box(k_set), d_mat, q, opts)
 
 
 def box_vi_enumerate(m_mat, q, lower, upper, tol=1e-9):

@@ -118,6 +118,18 @@ def test_support_point_polyhedron():
     with pytest.raises(EmptySet):
         support_point(Polyhedron([[1.0, 0.0], [-1.0, 0.0]], [-1.0, -1.0]),
                       [1.0, 0.0])
+    # b > 0 puts the origin inside this set, which is unbounded along d;
+    # HiGHS labels its support LP infeasible (status 2) all the same
+    a = [[0.37230415282838086, 1.1874975825568248, -0.31722643536306594],
+         [-0.9802912084453098, 0.28703714460592966, 0.029364547332811883],
+         [-0.11398169207132029, 0.445605570504159, 0.044735176059035875],
+         [-0.3368640534127228, 0.9647309191332266, -1.7639986742372946],
+         [-1.074094774855252, -0.26381799726794425, -1.2936110807947319]]
+    b = [1.5379055643386763, 2.1984231844235063, 0.7644913336083365,
+         0.6333336131195396, 0.4156975752493911]
+    with pytest.raises(Unbounded):
+        support_point(Polyhedron(a, b), [0.39486781032706925, -0.5581148389313347,
+                                         -0.7029835778586547])
 
 
 def test_hausdorff_sampled_translation_is_exact():

@@ -308,28 +308,40 @@ def test_solver_options_tolerance_is_respected():
 
 
 def test_stalled_newton_falls_back_to_exact_enumeration():
-    # a criterion-1 draw (M's symmetric part has margin 2e-4, one pinned
-    # face) on which Newton and the damped sweep both stall; the step now
-    # finishes through the exact face enumeration the initial multiplier
-    # already used. The oracle is that same enumeration here, so the
-    # independent check is the recomputed residual.
-    b = np.array([[1.4452674548189457, -1.1678148948708298],
-                  [0.5206268056678015, 2.1554453182741473]])
-    c = np.array([[0.2301556013528869, 0.49780463877395403],
-                  [0.6821493562508779, 1.7988206650495813]])
-    d = np.array([[3.0812601446264427, -0.4448607877762083],
-                  [-0.48614716479129605, 0.07042434862725722]])
-    box = Box([-2.1289093147905493, 1.4752886364561606],
-              [-0.4291144242882463, 1.4752886364561606])
-    sys_ = _static_box_system(b, c, d, box)
-    x_prev = np.array([1.372385286036983, -0.43261073608142353])
-    y_in = np.array([-2.1038332837075693, -0.3366400811574826])
+    # criterion-1 draws on which Newton stalls: M's symmetric part has margin
+    # 2e-4 and one pinned face; draw 1952 of the unfiltered family (seed 1)
+    # has D = 0 and two infinite lower faces. The step finishes through the
+    # exact face enumeration, which is the oracle too, so it lands on the
+    # oracle's state; the independent check is the recomputed residual.
+    b2 = np.array([[1.388141303966885, 1.2968402206649108, -0.7049278217362794],
+                   [0.28145003250401746, 0.558322213412385, 0.4967659665398838],
+                   [-0.5308296902278883, 1.0924250465103884, 1.9591457402115147]])
+    cases = [
+        (np.array([[1.4452674548189457, -1.1678148948708298],
+                   [0.5206268056678015, 2.1554453182741473]]),
+         np.array([[0.2301556013528869, 0.49780463877395403],
+                   [0.6821493562508779, 1.7988206650495813]]),
+         np.array([[3.0812601446264427, -0.4448607877762083],
+                   [-0.48614716479129605, 0.07042434862725722]]),
+         Box([-2.1289093147905493, 1.4752886364561606],
+             [-0.4291144242882463, 1.4752886364561606]),
+         [1.372385286036983, -0.43261073608142353],
+         [-2.1038332837075693, -0.3366400811574826]),
+        (b2, b2.T, np.zeros((3, 3)),
+         Box([-np.inf, -np.inf, -1.6792266137103515],
+             [-0.6784875343474991, 0.2765176452162721, -0.7829533861742229]),
+         [-0.35615690936154293, -1.6530754884542205, -1.9125401349056654],
+         [0.06498081109502366, 1.295007459107402, 1.6268264376413142]),
+    ]
     opts = SolverOptions()
-    res = solve_step(sys_, 0.0, x_prev, y_in, 0.05, opts)
-    assert res.residual <= opts.tol
-    ref = brute_force_step_oracle(sys_, 0.0, x_prev, y_in, 0.05)
-    assert np.allclose(res.x_next, ref.x_next, rtol=0.0, atol=1e-8)
-    assert np.allclose(res.mu, ref.mu, rtol=1e-12, atol=1e-8)
+    for b, c, d, box, x_prev, y_in in cases:
+        sys_ = _static_box_system(b, c, d, box)
+        res = solve_step(sys_, 0.0, x_prev, y_in, 0.05, opts)
+        assert res.residual <= opts.tol
+        ref = brute_force_step_oracle(sys_, 0.0, x_prev, y_in, 0.05)
+        gap = np.linalg.norm(res.x_next - ref.x_next)
+        assert gap <= 1e-13 * np.linalg.norm(ref.x_next)
+        assert np.allclose(res.mu, ref.mu, rtol=1e-12, atol=1e-8)
 
 
 def test_translation_overflowing_a_box_bound_is_reported_as_empty():
