@@ -69,11 +69,17 @@ def sym(m):
 
 
 def spectral_norm(m):
-    """Largest singular value; 0.0 for empty matrices."""
+    """Largest singular value (as norm(m, 2)); 0.0, with no SVD, for an all-zero m."""
     m = np.asarray(m, dtype=float)
-    if m.size == 0:
+    if not m.any():
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    return float(np.linalg.svd(m, compute_uv=False)[0])
+
+
+def _asymmetric(m, rel_tol):
+    """``||M - M^T|| > rel_tol max(||M||, 1)``, with no SVD for a symmetric M."""
+    skew = spectral_norm(m - m.T)
+    return skew > 0.0 and skew > rel_tol * max(spectral_norm(m), 1.0)
 
 
 def smallest_positive_eigenvalue(m, rel_tol=1e-9):
@@ -103,8 +109,7 @@ def smallest_positive_eigenvalue(m, rel_tol=1e-9):
     m = as_matrix(m, "M")
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"M must be square, got {m.shape}")
-    scale = spectral_norm(m)
-    if spectral_norm(m - m.T) > rel_tol * max(scale, 1.0):
+    if _asymmetric(m, rel_tol):
         raise NotSymmetric("matrix is not symmetric within tolerance")
     eigs = np.linalg.eigvalsh(sym(m))
     top = float(eigs[-1]) if eigs.size else 0.0
@@ -203,14 +208,23 @@ def kernel_inclusion(d, p, b, c, tol=1e-9):
     return bool(np.max(np.linalg.norm(resid, axis=0)) <= tol * max(nw, 1.0))
 
 
+def _shift(alpha, w, b, c, d, c1, tol):
+    """``select_kappa``'s formula for ``w = P B - C^T``; c1 None is computed on use."""
+    nw = spectral_norm(w)
+    if nw == 0.0 or nw <= tol * max(1.0, spectral_norm(b) + spectral_norm(c)):
+        return 0.0
+    c1 = smallest_positive_eigenvalue(d + d.T, tol) if c1 is None else c1
+    return -nw * nw / (4.0 * alpha * c1)
+
+
 def select_kappa(p, b, c, d, require_kernel_inclusion=False, tol=1e-9):
     """Shift constant making (kappa*I, B, C, D) passive with storage P.
 
     Returns 0 when ``P B - C^T`` vanishes; otherwise
     ``-||P B - C^T||^2 / (4 * alpha * c1)`` with ``alpha`` the smallest
     eigenvalue of P and ``c1`` the smallest positive eigenvalue of
-    ``D + D^T``. The returned value is the least negative shift satisfying
-    ``2*sqrt(-kappa*alpha*c1) >= ||P B - C^T||``.
+    ``D + D^T`` (computed only then). The returned value is the least
+    negative shift satisfying ``2*sqrt(-kappa*alpha*c1) >= ||P B - C^T||``.
 
     Parameters
     ----------
@@ -233,7 +247,7 @@ def select_kappa(p, b, c, d, require_kernel_inclusion=False, tol=1e-9):
     b = as_matrix(b, "B")
     c = as_matrix(c, "C")
     d = as_matrix(d, "D")
-    if spectral_norm(p - p.T) > tol * max(spectral_norm(p), 1.0):
+    if _asymmetric(p, tol):
         raise NotSymmetric("P must be symmetric")
     alpha = float(np.linalg.eigvalsh(sym(p))[0])
     if alpha <= 0.0:
@@ -242,11 +256,7 @@ def select_kappa(p, b, c, d, require_kernel_inclusion=False, tol=1e-9):
         raise KernelInclusionViolated(
             "ker(D + D^T) is not contained in ker(P B - C^T)"
         )
-    nw = spectral_norm(p @ b - c.T)
-    if nw <= tol * max(1.0, spectral_norm(b) + spectral_norm(c)):
-        return 0.0
-    c1 = smallest_positive_eigenvalue(d + d.T, tol)
-    return -nw * nw / (4.0 * alpha * c1)
+    return _shift(alpha, p @ b - c.T, b, c, d, None, tol)
 
 
 def storage_congruence(p, b, c):
@@ -337,7 +347,7 @@ def certify(b, c, d, p=None, kappa=None, tol=1e-9):
     ``kappa`` defaults to :func:`select_kappa`. A caller-supplied kappa must
     be at least as negative as the formula value (the shift condition
     ``2*sqrt(-kappa*alpha*c1) >= ||P B - C^T||`` stays satisfiable) and is
-    then also the step shift.
+    then also the step shift. alpha, c1 and c2 are each computed once.
     """
     b = as_matrix(b, "B")
     c = as_matrix(c, "C")
@@ -356,13 +366,15 @@ def certify(b, c, d, p=None, kappa=None, tol=1e-9):
         c2 = smallest_positive_eigenvalue(c @ c.T, tol)
     except NoPositiveEigenvalue:
         c2 = None
-    formula = select_kappa(p, b, c, d, tol=tol)
+    if _asymmetric(p, tol):
+        raise NotSymmetric("P must be symmetric")
+    formula = _shift(alpha, p @ b - c.T, b, c, d, c1, tol)  # c1 None: raises on use
     step_kappa = None
     if kappa is None:
         kappa = formula
         tilde = storage_congruence(storage, b, c)
         if tilde is not None:
-            step_kappa = select_kappa(np.eye(n_dim), tilde[2], tilde[3], d, tol=tol)
+            step_kappa = _shift(1.0, tilde[2] - tilde[3].T, *tilde[2:], d, c1, tol)
     else:
         kappa = float(kappa)
         if kappa > formula + tol:

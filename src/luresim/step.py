@@ -217,12 +217,13 @@ def _active_set_enumerate(a, b, m_mat, q, tol, groups=None):
     return best[1], best[2], examined
 
 
-def _solve_multiplier(k_set, box, m_mat, q, opts):
+def _solve_multiplier(k_set, box, m_mat, q, m_max, opts):
     """Solve ``mu in N_K(q - M mu)``; the one place that picks the method.
 
     ``box`` is ``sets.as_box(k_set)``. A box goes to Newton, then to face
-    enumeration once Newton stalls and m <= ENUM_MAX_M; a (translated)
-    polyhedron goes to active-set enumeration. Returns (mu, w, iterations).
+    enumeration once Newton stalls, or ends in rounding noise (eps m_max
+    ||mu|| m > tol (1 + ||q||), m_max = max|M|), and m <= ENUM_MAX_M; a
+    (translated) polyhedron goes to active-set enumeration. Returns (mu, w, iterations).
 
     Raises
     ------
@@ -247,7 +248,10 @@ def _solve_multiplier(k_set, box, m_mat, q, opts):
         return _active_set_enumerate(k_set.a, b, m_mat, q, max(opts.tol, 1e-12))
     lower, upper = box
     try:
-        return _newton_box(m_mat, q, lower, upper, opts)
+        mu, w, iterations = _newton_box(m_mat, q, lower, upper, opts)
+        if np.finfo(float).eps * m_max * _norm(mu) * q.size > opts.tol * (1.0 + _norm(q)):
+            raise SolverDiverged("inner box solve ended in rounding noise")
+        return mu, w, iterations
     except SolverDiverged:
         # the bounds come from as_box unvalidated; a translation that
         # overflows a bound to an empty interval can only end up here
@@ -262,11 +266,11 @@ class _StepPlan:
 
     ``simulate`` builds one per run, :func:`solve_step` and the oracle one
     per call. ``proj`` (an eigendecomposition) waits for its first read,
-    since the oracle does not need it; a plain property, as
+    since the oracle and a zero mu do not need it; a plain property, as
     ``functools.cached_property`` takes a lock on each fresh plan.
     """
 
-    __slots__ = ("sys", "h", "denom", "m_mat", "_proj")
+    __slots__ = ("sys", "h", "denom", "m_mat", "m_max", "_proj")
 
     def __init__(self, sys, h):
         if h <= MIN_STEP:
@@ -278,6 +282,7 @@ class _StepPlan:
         self.h = h
         self.denom = denom
         self.m_mat = (h / denom) * (sys.C @ sys.B) + sys.D
+        self.m_max = float(np.abs(self.m_mat).max(initial=0.0))
         self._proj = None
 
     @property
@@ -328,7 +333,7 @@ def _advance(plan, t_next, x_prev, y_in, opts):
     q = (sys.C @ y_in) / plan.denom
     box = sets.as_box(k_set)
     try:
-        mu, _, iterations = _solve_multiplier(k_set, box, plan.m_mat, q, opts)
+        mu, _, iterations = _solve_multiplier(k_set, box, plan.m_mat, q, plan.m_max, opts)
     except NoSolution as exc:
         raise SolverDiverged(f"step has no multiplier: {exc}") from exc
     mu = _minimal_norm_polish(plan, k_set, box, q, mu, opts.tol)
@@ -364,7 +369,7 @@ def _minimal_norm_polish(plan, k_set, box, q, mu, tol):
     (it cannot survive when the kernel component is structurally forced, e.g.
     D = 0 with an active constraint). ``box`` is ``sets.as_box(k_set)``.
     """
-    mu_r = plan.proj @ mu
+    mu_r = plan.proj @ mu if mu.any() else mu  # a zero mu is kept: spare plan.proj
     if (np.abs(mu_r - mu) <= 1e-30).all():
         return mu
     if _norm(plan.sys.B @ (mu - mu_r)) > 0.25 * tol:
@@ -391,7 +396,8 @@ def solve_static_multiplier(k_set, c_mat, d_mat, x0, opts=None):
     if opts is None:
         opts = SolverOptions()
     q = c_mat @ np.asarray(x0, dtype=float).reshape(-1)
-    return _solve_multiplier(k_set, sets.as_box(k_set), d_mat, q, opts)
+    return _solve_multiplier(k_set, sets.as_box(k_set), d_mat, q,
+                             float(np.abs(d_mat).max(initial=0.0)), opts)
 
 
 def box_vi_enumerate(m_mat, q, lower, upper, tol=1e-9):

@@ -84,7 +84,8 @@ def build_system(
     n_dim, m_dim = b.shape
     c = linalg.as_matrix(c, "C", (m_dim, n_dim))
     d = linalg.as_matrix(d, "D", (m_dim, m_dim))
-    if not linalg.is_positive_semidefinite(d, 1e-9 * max(1.0, linalg.spectral_norm(d))):
+    psd = linalg.is_positive_semidefinite  # ||D|| (an SVD) matters only past -1e-9
+    if not (psd(d, 1e-9) or psd(d, 1e-9 * max(1.0, linalg.spectral_norm(d)))):
         raise NotPSD("feedthrough matrix D must be positive semidefinite")
     cert = linalg.certify(b, c, d, p=p, kappa=kappa)
     if isinstance(moving_set, DecomposedMovingSet):

@@ -4,9 +4,13 @@ Keeps the random instance generator in one place so the unit tests and the
 acceptance gate exercise the exact same family.
 """
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
@@ -17,6 +21,36 @@ from luresim import (
     range_projector,
     scenario_dir,
 )
+
+
+def count_decompositions(monkeypatch):
+    """Count calls of numpy's svd, eigvalsh and eigh from here on.
+
+    Returns a Counter keyed by name. The wrappers replace both the public
+    ``numpy.linalg`` names and the ones numpy's own functions call (as
+    ``norm(m, 2)`` calls ``svd``); ``monkeypatch`` restores them.
+    """
+    inner = importlib.import_module("numpy.linalg._linalg")
+    counts = Counter()
+    for name in ("svd", "eigvalsh", "eigh"):
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(inner, name, counted)
+    return counts
+
+
+def load_benchmark_workload(name):
+    """Import a workload module of the repository's lurebench/ directory."""
+    path = Path(__file__).resolve().parents[1] / "lurebench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"lurebench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def scenario_path(name):

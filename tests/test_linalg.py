@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
+import luresim
+from helpers import count_decompositions, load_benchmark_workload
+
 from luresim import (
+    Box,
+    DecomposedMovingSet,
+    GeneralMovingSet,
     PassivityCertificate,
+    build_system,
     certify,
     check_passive,
     is_positive_semidefinite,
@@ -17,6 +24,7 @@ from luresim import (
 )
 from luresim.errors import (
     KernelInclusionViolated,
+    LureError,
     NoPositiveEigenvalue,
     NotPSD,
     NotSymmetric,
@@ -197,3 +205,94 @@ def test_certify_kappa_override_rules():
 def test_certify_rejects_indefinite_storage():
     with pytest.raises(NotPSD):
         certify(B2, C_REF, D2, p=np.diag([1.0, 0.0]))
+
+
+# a tuple with n = 3, m = 2, a skew part in D and no kernel coupling, a
+# rank-1 feedthrough variant, and a storage P != I. The literals below were
+# recorded before certify stopped calling select_kappa and shares its formula
+# instead; the comparisons are exact
+PIN_B = np.array([[1.0, 0.5], [0.0, 2.0], [0.3, -0.2]])
+PIN_C = np.array([[0.8, 0.1, 0.4], [0.0, 1.5, -0.3]])
+PIN_D = np.array([[2.0, 0.5], [-0.5, 1.0]])
+PIN_D_RANK1 = np.array([[1.0, 1.0], [1.0, 1.0]])
+PIN_P = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 0.5]])
+PIN_C2 = 0.8094119906895095
+PIN_ALPHA = 0.42305766670390305
+
+
+def _constants(cert):
+    return cert.kappa, cert.c1, cert.c2, cert.alpha, cert.step_kappa
+
+
+def test_certify_is_pinned_bit_for_bit():
+    assert _constants(certify(PIN_B, PIN_C, PIN_D)) == (
+        -0.0641909872050661, 2.0, PIN_C2, 1.0, None)
+    assert _constants(certify(PIN_B, PIN_C, PIN_D, p=PIN_P)) == (
+        -1.3423598752772379, 2.0, PIN_C2, PIN_ALPHA, -0.2927853228830527)
+    # a declared kappa is kept and is the step shift
+    assert _constants(certify(PIN_B, PIN_C, PIN_D, p=PIN_P, kappa=-5.0)) == (
+        -5.0, 2.0, PIN_C2, PIN_ALPHA, None)
+    assert _constants(certify(PIN_B, PIN_C, PIN_D_RANK1)) == (
+        -0.03209549360253305, 4.0, PIN_C2, 1.0, None)
+    assert _constants(certify(PIN_B, PIN_C, PIN_D_RANK1, p=PIN_P)) == (
+        -0.6711799376386189, 4.0, PIN_C2, PIN_ALPHA, -0.14639266144152635)
+    assert select_kappa(PIN_P, PIN_B, PIN_C, PIN_D) == -1.3423598752772379
+    assert select_kappa(np.eye(3), PIN_B, PIN_C, PIN_D_RANK1) == -0.03209549360253305
+
+
+def _error(call, *args, **kwargs):
+    with pytest.raises(LureError) as info:
+        call(*args, **kwargs)
+    return type(info.value).__name__, str(info.value)
+
+
+def test_certification_errors_are_pinned():
+    ms = GeneralMovingSet(lambda t, x: Box(-np.ones(2), np.ones(2)), 0.0, 0.0)
+    zero = np.zeros((2, 2))
+    no_c1 = ("NoPositiveEigenvalue", "no eigenvalue above the positive threshold")
+    # D = 0 while P B != C^T: no damping to absorb the mismatch
+    assert _error(certify, PIN_B, PIN_C, zero) == no_c1
+    assert _error(select_kappa, np.eye(3), PIN_B, PIN_C, zero) == no_c1
+    assert _error(build_system, PIN_B, PIN_C, zero, ms) == no_c1
+    # a P whose symmetric part is positive definite but which is not symmetric
+    asym = PIN_P.copy()
+    asym[0, 2] = 0.1
+    not_sym = ("NotSymmetric", "P must be symmetric")
+    assert _error(certify, PIN_B, PIN_C, PIN_D, p=asym) == not_sym
+    assert _error(select_kappa, asym, PIN_B, PIN_C, PIN_D) == not_sym
+    indefinite = np.diag([1.0, -0.5, 2.0])
+    not_pd = ("NotPSD", "P must be positive definite")
+    assert _error(certify, PIN_B, PIN_C, PIN_D, p=indefinite) == not_pd
+    assert _error(select_kappa, indefinite, PIN_B, PIN_C, PIN_D) == not_pd
+    assert _error(certify, PIN_B, PIN_C, PIN_D, kappa=-1e-3) == (
+        "NotPSD", "kappa=-0.001 is less negative than the certified value -0.064191")
+    assert _error(build_system, PIN_B, PIN_C, np.diag([1.0, -1.0]), ms) == (
+        "NotPSD", "feedthrough matrix D must be positive semidefinite")
+
+
+def test_spectral_norm_is_numpys_two_norm_exactly():
+    rng = np.random.default_rng(11)
+    mats = [rng.normal(size=(int(rng.integers(1, 6)), int(rng.integers(1, 6))))
+            * 10.0 ** int(rng.integers(-6, 7)) for _ in range(200)]
+    mats += [np.zeros((2, 3)), np.zeros((0, 3)), np.zeros((3, 0)), np.zeros((0, 0)),
+             np.array([[-2.5]]), np.array([[0.0]]), mats[0].T, -np.eye(3)]
+    for mat in mats:
+        assert spectral_norm(mat) == np.linalg.norm(mat, 2)
+
+
+def test_build_system_decomposes_each_matrix_once(monkeypatch):
+    # the first 300 oracle_sweep draws of seed 1: each builds a fresh system.
+    # Counted are numpy's svd, eigvalsh and eigh, also where numpy itself
+    # calls them (norm(m, 2) runs an SVD); before each spectral constant was
+    # computed once, build_system averaged 18.4 per call (12.6 SVDs)
+    wl_oracle = load_benchmark_workload("wl_oracle")
+    draws = wl_oracle.draws(luresim, 1, wl_oracle.MIN_MARGIN, [0])
+    ops = [next(draws) for _ in range(300)]
+    # as in the workload: the box with a zero offset H x + g
+    moving_sets = [DecomposedMovingSet(lambda t, _box=Box(op["lower"], op["upper"]): _box,
+                                       np.zeros((op["m"], op["x_prev"].size)),
+                                       lambda t, _z=np.zeros(op["m"]): _z) for op in ops]
+    counts = count_decompositions(monkeypatch)
+    for op, ms in zip(ops, moving_sets):
+        build_system(op["b"], op["c"], op["d"], ms)
+    assert sum(counts.values()) / len(ops) <= 8.0

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from luresim import (
@@ -13,6 +13,7 @@ from luresim import (
     admissible,
     build_system,
     hypomonotonicity_gap,
+    solve_step,
     verify_lipschitz,
 )
 from luresim import box_vi_enumerate, moving
@@ -222,8 +223,20 @@ def _stationary_problems(draw):
     return g @ g.T, c.reshape(m, m), x0, np.array(lower), np.array(upper)
 
 
+# D of exact rank 2 with q - lower = (1, -1.5, 1.5) outside rge(D): Newton
+# ran off to |mu| ~ 1e15, where its small residual was rounding noise
+_NOISE_LEVEL_NEWTON = (
+    np.array([[0.5, 1.0, 1.75], [1.0, 2.5, 3.75], [1.75, 3.75, 6.25]]),
+    np.array([[0.0, 0.0, 1.5], [0.0, 0.0, -1.5], [0.0, 0.0, 1.5]]),
+    np.array([0.0, 0.0, 1.0]),
+    np.array([0.5, 0.0, 0.0]),
+    np.array([0.5, 0.0, 0.0]),
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_stationary_problems())
+@example(_NOISE_LEVEL_NEWTON)
 def test_admissible_agrees_with_face_enumeration(problem):
     # admissible tries Newton before enumerating; its verdict must still be
     # exactly whether some face pattern solves the stationary inclusion
@@ -237,3 +250,37 @@ def test_admissible_agrees_with_face_enumeration(problem):
     except NoSolution:
         expected = False
     assert admissible(ms, sys_, x0) is expected
+
+
+def test_admissible_rejects_a_newton_multiplier_lost_in_rounding():
+    # Newton stops at mu ~ (-1.2e15, -2.4e14, 4.8e14) with a residual below
+    # tol, but eps max|D| ||mu|| m is about 5, against tol (1 + ||q||) =
+    # 3.6e-10, so that residual proves nothing; the face enumeration decides,
+    # and no pattern is feasible
+    d, c, x0, lower, upper = _NOISE_LEVEL_NEWTON
+    box = Box(lower, upper)
+    ms = GeneralMovingSet(lambda t, x: box, 0.0, 0.0)
+    sys_ = build_system(c.T, c, d, ms)
+    with pytest.raises(NoSolution):
+        box_vi_enumerate(d, c @ x0, lower, upper)
+    assert admissible(ms, sys_, x0) is False
+    with pytest.raises(NoSolution):
+        moving.solve_static_multiplier(box, c, d, x0)
+
+
+@pytest.mark.parametrize("m", [8, 9])
+def test_newton_multiplier_stands_on_a_large_well_scaled_problem(m):
+    # D = 100 I, q = 1e5: eps max|D| ||mu|| m is about 5e-10, above tol but
+    # far below tol (1 + ||q||) = 3e-5, so Newton's multiplier is no rounding
+    # noise; m = 9 has no enumeration to fall back on, m = 8 would enumerate 3^8
+    d, c, x0 = 100.0 * np.eye(m), np.eye(m), np.full(m, 1e5)
+    box = Box(-np.ones(m), np.ones(m))
+    ms = GeneralMovingSet(lambda t, x: box, 0.0, 0.0)
+    sys_ = build_system(c.T, c, d, ms)
+    mu, _, iterations = moving.solve_static_multiplier(box, c, d, x0)
+    assert iterations < 10
+    np.testing.assert_allclose(mu, (1e5 - 1.0) / 100.0, rtol=1e-14)
+    assert admissible(ms, sys_, x0) is True
+    step = solve_step(sys_, 0.1, x0, x0, 0.1)
+    assert step.iterations < 10
+    np.testing.assert_allclose(step.mu, (1e5 - 1.0) / 100.1, rtol=1e-14)

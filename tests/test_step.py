@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import FACE_KINDS, random_step_instance
+from helpers import FACE_KINDS, count_decompositions, random_step_instance
 from luresim import (
     Box,
     DecomposedMovingSet,
@@ -356,3 +356,18 @@ def test_translation_overflowing_a_box_bound_is_reported_as_empty():
     with np.errstate(over="ignore", invalid="raise"):
         with pytest.raises(EmptySet):
             solve_step(sys_, 0.1, np.zeros(1), np.zeros(1), 0.1)
+
+
+def test_zero_multiplier_step_runs_no_eigendecomposition(monkeypatch):
+    # the minimal-norm polish keeps a zero multiplier, so a step whose mu is
+    # exactly 0 never needs the range projector of D + D^T (an eigh); a step
+    # with an active face does
+    d = np.array([[1.0, 1.0], [1.0, 1.0]])
+    sys_ = _static_box_system(np.eye(2), np.eye(2), d, Box([-1.0, -1.0], [1.0, 1.0]))
+    counts = count_decompositions(monkeypatch)
+    inside = solve_step(sys_, 0.1, np.zeros(2), np.array([0.2, -0.3]), 0.1)
+    assert not inside.mu.any()
+    assert counts["eigh"] == 0
+    outside = solve_step(sys_, 0.1, np.zeros(2), np.array([3.0, 0.0]), 0.1)
+    assert outside.mu.any()
+    assert counts["eigh"] == 1
