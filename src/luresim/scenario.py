@@ -144,6 +144,19 @@ def _require(cond, msg):
         raise ValidationError(msg)
 
 
+def _number(value, name):
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be a number, not {value!r}") from exc
+
+
+def _count(value, name):
+    number = _number(value, name)
+    _require(number.is_integer(), f"{name} must be an integer, not {value!r}")
+    return int(number)
+
+
 def _parse_matrix(data, name, rows, cols):
     try:
         mat = np.asarray(data, dtype=float)
@@ -219,11 +232,8 @@ def load_scenario(source):
     for key in ("name", "n", "m", "A", "B", "C", "D", "set", "x0", "T", "n_steps"):
         _require(key in data, f"missing required field {key!r}")
     name = str(data["name"])
-    try:
-        n = int(data["n"])
-        m = int(data["m"])
-    except (TypeError, ValueError) as exc:
-        raise ValidationError("n and m must be integers") from exc
+    n = _count(data["n"], "n")
+    m = _count(data["m"], "m")
     _require(n >= 1 and m >= 1, "n and m must be positive")
     a_matrix = _parse_matrix(data["A"], "A", n, n)
     b_matrix = _parse_matrix(data["B"], "B", n, m)
@@ -235,8 +245,8 @@ def load_scenario(source):
     p_matrix = None
     if data.get("P") is not None:
         p_matrix = _parse_matrix(data["P"], "P", n, n)
-    kappa = None if data.get("kappa") is None else float(data["kappa"])
-    sigma = None if data.get("sigma") is None else float(data["sigma"])
+    kappa = None if data.get("kappa") is None else _number(data["kappa"], "kappa")
+    sigma = None if data.get("sigma") is None else _number(data["sigma"], "sigma")
     set_spec = data["set"]
     _require(isinstance(set_spec, dict), "'set' must be an object")
     _require("lower" in set_spec and "upper" in set_spec,
@@ -267,14 +277,14 @@ def load_scenario(source):
         x0 = linalg.as_vector(data["x0"], "x0", n)
     except Exception as exc:
         raise ValidationError(f"x0 must be a length-{n} vector") from exc
-    t_final = float(data["T"])
+    t_final = _number(data["T"], "T")
     _require(t_final > 0.0, "T must be positive")
-    n_steps = int(data["n_steps"])
+    n_steps = _count(data["n_steps"], "n_steps")
     _require(n_steps >= 1, "n_steps must be at least 1")
     constants = data.get("constants")
     if constants is not None:
         _require(isinstance(constants, dict), "constants must be an object")
-        constants = {str(k): float(v) for k, v in constants.items()}
+        constants = {str(k): _number(v, f"constants.{k}") for k, v in constants.items()}
     sc = Scenario(
         name=name,
         n=n,

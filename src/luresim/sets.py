@@ -3,7 +3,9 @@
 Sets are value objects over float64 arrays. Infinite box bounds are allowed;
 polyhedra are given as {y : A y <= b}. Projections, membership, normal-cone
 residuals and two Hausdorff-distance routes (exact coordinatewise formula for
-boxes, support-direction sampling for general bounded sets) live here.
+boxes, support-direction sampling for general bounded sets) live here. One
+numpy dual active-set projection serves polyhedra in ``project`` and
+``support_point``; ``project_enumerate`` is its independent reference.
 """
 
 from __future__ import annotations
@@ -41,19 +43,6 @@ __all__ = [
 ]
 
 
-_optimize = None
-
-
-def _scipy_optimize():
-    """scipy.optimize, imported on first use: only polyhedra need it."""
-    global _optimize
-    if _optimize is None:
-        import scipy.optimize
-
-        _optimize = scipy.optimize
-    return _optimize
-
-
 @dataclass(frozen=True, eq=False)
 class Box:
     """Product of intervals [lower_i, upper_i]; bounds may be infinite."""
@@ -84,9 +73,6 @@ class Polyhedron:
     b: np.ndarray
 
     def __post_init__(self):
-        # pay the scipy.optimize import when the set is built, not when it
-        # is first projected
-        _scipy_optimize()
         a = np.asarray(self.a, dtype=float)
         b = np.asarray(self.b, dtype=float).reshape(-1)
         if a.ndim != 2:
@@ -150,10 +136,10 @@ def as_box(s):
 def project(s, p):
     """Euclidean projection of point ``p`` onto the set.
 
-    Boxes project by coordinatewise clamping. Polyhedra are handled as a
-    least-distance program through the classical reduction to a single
-    nonnegative least-squares solve; emptiness is detected when the
-    reduction degenerates or the recovered point is infeasible.
+    Boxes project by coordinatewise clamping. Polyhedra are projected by a
+    dual active-set quadratic program (Goldfarb and Idnani), which raises
+    ``EmptySet`` exactly when a violated row admits neither a primal nor a
+    dual step, and ``NoSolution`` past its iteration bound.
     """
     p = np.asarray(p, dtype=float).reshape(-1)
     if isinstance(s, Box):
@@ -163,77 +149,63 @@ def project(s, p):
     if isinstance(s, Translate):
         return project(s.base, p - s.offset) + s.offset
     if isinstance(s, Polyhedron):
-        return _project_polyhedron(s, p)
+        return _qp_project(s.a, s.b, p)
     raise TypeError(f"not a convex set: {type(s).__name__}")
 
 
-def _ldp_attempt(an, h, p, disp_scale, max_iter):
-    # least-distance program min ||x|| s.t. (-an) x >= h, solved through the
-    # classical reduction to nonnegative least squares on [G^T; h^T]: the
-    # optimal displacement is x_j = -r_j / r_{m+1} for the residual r, and
-    # r ~ 0 certifies incompatible constraints. The displacement is rescaled
-    # by disp_scale first so the residual test is geometry-independent.
-    m = p.size
-    e = np.vstack([-an.T, (h / disp_scale)[None, :]])
-    f = np.zeros(m + 1)
-    f[m] = 1.0
-    res = _scipy_optimize().lsq_linear(
-        e, f, bounds=(0.0, np.inf), method="bvls", tol=1e-14,
-        max_iter=max_iter * (e.shape[1] + 1),
-    )
-    r = e @ res.x - f
-    if r[m] >= -1e-9:
-        return None
-    return p - disp_scale * (r[:m] / r[m])
-
-
-def _linprog(c, a, b):
-    # min c.y over the free variables y subject to a y <= b
-    return _scipy_optimize().linprog(c, A_ub=a, b_ub=b,
-                                     bounds=[(None, None)] * c.size, method="highs")
-
-
-def _project_polyhedron(s, p, tol=1e-12):
-    a, b = s.a, s.b
+def _qp_project(a, b, p):
+    # Goldfarb & Idnani's dual active-set method (Math. Programming 27, 1983)
+    # for min ||y - p||^2 / 2 s.t. a y <= b, Hessian I: start at p, add the
+    # most violated row, and drop an active row whose multiplier would turn
+    # negative. The active rows stay independent, and a violated row that
+    # admits neither a primal nor a dual step proves the set empty.
     k, m = a.shape
     if p.size != m:
         raise DimensionMismatch("point dimension mismatch")
-    scale = max(1.0, float(np.linalg.norm(p)), float(np.max(np.abs(b))) if k else 1.0)
-    if k == 0 or np.all(a @ p <= b + tol * scale):
+    tol = 1e-12 * max(1.0, float(np.linalg.norm(p)), float(np.max(np.abs(b), initial=0.0)))
+    if k == 0 or np.all(a @ p <= b + tol):
         return p.copy()
-    # normalize rows so residual tolerances mean signed distances
+    # normalize rows so the tolerances mean signed distances
     norms = np.linalg.norm(a, axis=1)
-    keep = norms > tol
-    if np.any(~keep & (b < -tol * scale)):
+    keep = norms > 1e-12
+    if np.any(~keep & (b < -tol)):
         raise EmptySet("contradictory zero-normal constraint row")
-    an = a[keep] / norms[keep, None]
-    bn = b[keep] / norms[keep]
-    if an.shape[0] == 0:
+    if not keep.any():
         return p.copy()
-    h = an @ p - bn
-
-    def accepted(y):
-        # tolerance in signed-distance units, relative to the displacement
-        if y is None:
-            return False
-        slack = 1e-7 * max(scale, 1.0 + float(np.linalg.norm(y - p)))
-        return float(np.max(an @ y - bn)) <= slack
-
-    y = _ldp_attempt(an, h, p, max(1.0, float(np.max(h))), max_iter=30)
-    if accepted(y):
-        return y
-    # the reduction degenerates both when the set is empty and when the
-    # projection is much farther than the worst signed distance; settle it
-    # with an exact feasibility program, then retry at the right scale
-    lp = _linprog(np.zeros(m), an, bn)
-    if lp.status == 2:
-        raise EmptySet("polyhedron is empty")
-    if not lp.success:
-        raise EmptySet(f"polyhedron feasibility undecidable: {lp.message}")
-    reach = 1.0 + float(np.linalg.norm(np.asarray(lp.x, dtype=float) - p))
-    y = _ldp_attempt(an, h, p, reach, max_iter=80)
-    if accepted(y):
-        return y
+    an, bn = a[keep] / norms[keep, None], b[keep] / norms[keep]
+    y, u = p.copy(), np.zeros(bn.size)  # y = p - an^T u
+    active, j = [], None  # j: the row being added
+    for _ in range(10 * (bn.size + m)):
+        if j is None:
+            viol = an @ y - bn
+            viol[active] = -np.inf
+            j = int(np.argmax(viol))
+            if viol[j] <= tol:
+                return y
+        # y + t z keeps the active rows tight as u_j grows by t and their
+        # multipliers fall by t coef
+        if active:
+            q, r = np.linalg.qr(an[active].T)
+            qn = q.T @ an[j]
+            coef, z = np.linalg.solve(r, qn), q @ qn - an[j]
+        else:
+            coef, z = np.zeros(0), -an[j]
+        zz = float(z @ z)
+        t_primal = (float(an[j] @ y) - bn[j]) / zz if zz > 1e-20 else np.inf
+        ratios = np.full(coef.size, np.inf)
+        pos = coef > 1e-12
+        ratios[pos] = np.maximum(u[active], 0.0)[pos] / coef[pos]
+        t = min(t_primal, float(ratios.min(initial=np.inf)))
+        if t == np.inf:
+            raise EmptySet("polyhedron is empty")
+        y = y + t * z
+        u[active] -= t * coef
+        u[j] += t
+        if t == t_primal:
+            active.append(j)
+            j = None
+        else:
+            u[active.pop(int(np.argmin(ratios)))] = 0.0
     raise NoSolution("polyhedral projection did not converge")
 
 
@@ -259,15 +231,19 @@ def project_enumerate(s, p, tol=1e-9):
         for subset in itertools.combinations(range(k), size):
             idx = list(subset)
             a_s = a[idx]
-            gram = a_s @ a_s.T
             rhs = a_s @ p - b[idx]
-            nu = np.linalg.lstsq(gram, rhs, rcond=None)[0] if size else np.zeros(0)
-            if size and np.max(np.abs(gram @ nu - rhs)) > tol * scale:
+            # the least-norm shift a_s^T nu onto the active faces, solved on
+            # a_s: its Gram matrix would square the conditioning
+            shift = np.linalg.lstsq(a_s, rhs, rcond=None)[0] if size else np.zeros(m)
+            nu = np.linalg.lstsq(a_s.T, shift, rcond=None)[0] if size else np.zeros(0)
+            # nearly parallel active rows: a far point, large nu, lost digits
+            bound = tol * (scale + float(np.max(np.abs(nu), initial=0.0)))
+            if size and np.max(np.abs(a_s @ shift - rhs)) > bound:
                 continue  # bound not attainable with this active set
-            if size and np.min(nu) < -tol * scale:
+            if size and np.min(nu) < -bound:
                 continue
-            y = p - a_s.T @ nu if size else p.copy()
-            if np.any(a @ y > b + tol * scale):
+            y = p - shift
+            if np.any(a @ y > b + bound):
                 continue
             d = float(np.linalg.norm(y - p))
             if d < best_dist:
@@ -286,14 +262,14 @@ def distance(s, p):
 def contains(s, p, tol=1e-9):
     """Membership within an absolute tolerance ``tol``."""
     p = np.asarray(p, dtype=float).reshape(-1)
+    if p.size != dim(s):
+        raise DimensionMismatch("point dimension mismatch")
     if isinstance(s, Box):
         return bool(np.all(p >= s.lower - tol) and np.all(p <= s.upper + tol))
     if isinstance(s, Translate):
         return contains(s.base, p - s.offset, tol)
     if isinstance(s, Polyhedron):
-        if s.a.shape[0] == 0:
-            return True
-        return bool(np.max(s.a @ p - s.b) <= tol)
+        return bool(np.max(s.a @ p - s.b, initial=-np.inf) <= tol)
     raise TypeError(f"not a convex set: {type(s).__name__}")
 
 
@@ -350,11 +326,15 @@ def support_point(s, d):
 
     Raises ``Unbounded`` when the support is infinite and ``EmptySet`` when
     the set is empty (polyhedra only; boxes are nonempty by construction).
+    On a polyhedron no LP is solved: ``d`` projected onto the recession cone
+    decides boundedness, and the point is a fixed point of
+    ``y = project(s, y + t d)``, which may lie inside a maximizing face
+    rather than at a vertex; ``NoSolution`` if that iteration does not settle.
     """
     d = np.asarray(d, dtype=float).reshape(-1)
+    if d.size != dim(s):
+        raise DimensionMismatch("direction dimension mismatch")
     if isinstance(s, Box):
-        if d.size != s.lower.size:
-            raise DimensionMismatch("direction dimension mismatch")
         out = np.clip(np.zeros(d.size), s.lower, s.upper)
         pos = d > 0
         neg = d < 0
@@ -366,16 +346,25 @@ def support_point(s, d):
     if isinstance(s, Translate):
         return support_point(s.base, d) + s.offset
     if isinstance(s, Polyhedron):
-        res = _linprog(-d, s.a, s.b)
-        # HiGHS can label an unbounded LP infeasible (status 2), so that
-        # verdict stands only if the set has no feasible point either
-        if res.status == 2 and not _linprog(np.zeros(d.size), s.a, s.b).success:
-            raise EmptySet("polyhedron is empty")
-        if res.status in (2, 3):
+        y = _qp_project(s.a, s.b, np.zeros(d.size))  # EmptySet for an empty set
+        d_norm = float(np.linalg.norm(d))
+        if d_norm == 0.0:
+            return y
+        # Moreau: the projection r of d onto the recession cone {A r <= 0}
+        # has d.r = ||r||^2, so r != 0 is a direction of unbounded growth
+        if np.linalg.norm(_qp_project(s.a, np.zeros(s.b.size), d / d_norm)) > 1e-9:
             raise Unbounded("polyhedron unbounded in the requested direction")
-        if not res.success:
-            raise Unbounded(f"support solve failed: {res.message}")
-        return np.asarray(res.x, dtype=float)
+        # y maximizes d.y exactly when y = proj(y + t d) for a t > 0, and
+        # proximal steps reach one in finitely many (Ferris, Math.
+        # Programming 50, 1991); a gap of 1e-12 ||y + t d|| puts d within
+        # 1e-12 ||d|| of the normal cone at any t
+        t = (1.0 + float(np.max(np.abs(s.b), initial=0.0)) + float(np.linalg.norm(y))) / d_norm
+        for _ in range(40):
+            nxt = _qp_project(s.a, s.b, y + t * d)
+            if float(np.linalg.norm(nxt - y)) <= 1e-12 * (1.0 + float(np.linalg.norm(y + t * d))):
+                return nxt
+            y, t = nxt, 4.0 * t
+        raise NoSolution("support point did not converge")
     raise TypeError(f"not a convex set: {type(s).__name__}")
 
 

@@ -219,6 +219,20 @@ def test_parse_error_exit_2(tmp_path):
     assert "error: invalid JSON at line 1" in res.stderr
 
 
+@pytest.mark.parametrize("field, value, named", [
+    ("T", "abc", "T"), ("n_steps", "ten", "n_steps"), ("kappa", "x", "kappa"),
+    ("sigma", [1.0], "sigma"), ("constants", {"Lf": "big"}, "constants.Lf"),
+    ("n_steps", 2.7, "n_steps"), ("n", 2.5, "n"), ("m", "2.5", "m"),
+])
+def test_bad_scalar_field_exit_2(tmp_path, field, value, named):
+    # a non-numeric value or a non-integral count is named, not a traceback
+    path = _write_json(tmp_path, "bad.json", {**PINNED_CHANNEL, field: value})
+    res = run_cli("check", path)
+    assert res.returncode == 2
+    assert res.stderr.startswith(f"error: {named} must be "), res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_step_tolerance_env_is_honored(tmp_path):
     strict = tmp_path / "strict.csv"
     loose = tmp_path / "loose.csv"

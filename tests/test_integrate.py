@@ -378,6 +378,32 @@ def test_box_only_run_never_imports_scipy_optimize():
     assert res.returncode == 0, res.stderr
 
 
+def test_polyhedral_run_needs_no_scipy():
+    # scipy is made unimportable before luresim loads: simulating on a
+    # polyhedral moving set and every polyhedral set routine must run without it
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import numpy as np, luresim as lu\n"
+        "a = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])\n"
+        "poly = lu.Polyhedron(a, np.array([1.0, 1.0, 1.0]))\n"
+        "ms = lu.DecomposedMovingSet(lambda t: poly, 0.1 * np.eye(2),"
+        " lambda t: np.array([0.1 * t, 0.0]), lh2=0.1)\n"
+        "sys_ = lu.build_system(np.eye(2), np.eye(2), 0.5 * np.eye(2), ms,"
+        " drift=lambda t, x: -x + 2.0, lf=1.0)\n"
+        "traj = lu.simulate(sys_, np.zeros(2), 1.0, 50)\n"
+        "assert np.all(np.isfinite(traj.states))\n"
+        "assert np.allclose(lu.project(poly, [3.0, 3.0]), [1.0, 1.0])\n"
+        "assert np.allclose(lu.support_point(poly, [1.0, 1.0]), [1.0, 1.0])\n"
+        "assert lu.hausdorff_sampled(poly, lu.Translate(poly, [0.5, 0.0])) > 0.0\n"
+        "grid = [(0.0, np.zeros(2)), (0.5, np.ones(2))]\n"
+        "assert lu.verify_lipschitz(ms, grid).samples == 1\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert res.returncode == 0, res.stderr
+
+
 def test_nan_drift_is_named_with_step_and_time():
     ms = DecomposedMovingSet(lambda t: Box([-1.0, -1.0], [1.0, 1.0]),
                              np.zeros((2, 2)), lambda t: np.zeros(2))

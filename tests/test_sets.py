@@ -19,7 +19,7 @@ from luresim import (
     support_point,
     whole_space,
 )
-from luresim.errors import EmptySet, InfiniteDistance, Unbounded
+from luresim.errors import DimensionMismatch, EmptySet, InfiniteDistance, Unbounded
 from luresim.sets import as_box, dim
 
 UNIT_BOX = Box([-1.0, -1.0], [1.0, 1.0])
@@ -76,6 +76,11 @@ def test_distance_and_contains():
     assert not contains(UNIT_BOX, [1.0 + 1e-6, 0.0])
     assert contains(DIAMOND, [0.5, 0.5])
     assert not contains(DIAMOND, [0.75, 0.5])
+    # a point of the wrong length is rejected, not broadcast
+    for s in (Box([0.0, 0.0], [1.0, 1.0]), Translate(Box([0.0, 0.0], [1.0, 1.0]), [1.0, 0.0]),
+              DIAMOND, Translate(DIAMOND, [1.0, 0.0])):
+        with pytest.raises(DimensionMismatch):
+            contains(s, [0.5])
 
 
 def test_normal_cone_residual_box():
@@ -108,6 +113,8 @@ def test_support_point_box():
                        [2.0, 1.0])
     with pytest.raises(Unbounded):
         support_point(Box([0.0], [np.inf]), [1.0])
+    with pytest.raises(DimensionMismatch):
+        support_point(Translate(UNIT_BOX, [1.0, 0.0]), [1.0])
 
 
 def test_support_point_polyhedron():
@@ -130,6 +137,8 @@ def test_support_point_polyhedron():
     with pytest.raises(Unbounded):
         support_point(Polyhedron(a, b), [0.39486781032706925, -0.5581148389313347,
                                          -0.7029835778586547])
+    with pytest.raises(DimensionMismatch):
+        support_point(DIAMOND, [1.0, 0.0, 0.0])
 
 
 def test_hausdorff_sampled_translation_is_exact():
@@ -175,6 +184,115 @@ def test_projection_matches_enumeration_oracle():
         fast = project(poly, p)
         slow = project_enumerate(poly, p)
         assert np.allclose(fast, slow, atol=1e-8)
+
+
+def _random_polyhedron(rng):
+    # m <= 4, k <= 8; a third hold the origin, and about half of the rest
+    # are empty
+    m, k = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+    a = rng.normal(size=(k, m))
+    if rng.random() < 1.0 / 3.0:
+        return a, np.abs(rng.normal(size=k)) + 0.1
+    return a, rng.normal(size=k) - 1.0
+
+
+def _flat_polyhedron(rng):
+    # pinned coordinate pairs (e_i.y <= c_i, -e_i.y <= -c_i) and extra rows
+    # that keep the pinned point inside, rotated half of the time
+    m = int(rng.integers(2, 5))
+    pins = rng.choice(m, size=int(rng.integers(1, m)), replace=False)
+    center = np.zeros(m)
+    center[pins] = rng.normal(size=pins.size)
+    eye = np.eye(m)
+    extra = rng.normal(size=(int(rng.integers(0, 4)), m))
+    a = np.vstack([eye[pins], -eye[pins], extra])
+    b = np.concatenate([center[pins], -center[pins],
+                        extra @ center + np.abs(rng.normal(size=len(extra))) + 0.1])
+    if rng.random() < 0.5:
+        rot = np.linalg.qr(rng.normal(size=(m, m)))[0]
+        a = a @ rot.T
+    return a, b
+
+
+def _projection_or_empty(fn, poly, p):
+    try:
+        return fn(poly, p)
+    except EmptySet:
+        return None
+
+
+def test_projection_matches_enumeration_on_random_and_flat_polyhedra():
+    # the point within 1e-9 of the problem's scale, the empty verdict alike;
+    # flat sets take a point 1e2 to 1e4 away
+    rng = np.random.default_rng(20261020)
+    empty = 0
+    for i in range(600):
+        if i % 2:
+            a, b = _flat_polyhedron(rng)
+            p = rng.normal(size=a.shape[1])
+            p *= 10.0 ** rng.uniform(2.0, 4.0) / np.linalg.norm(p)
+        else:
+            a, b = _random_polyhedron(rng)
+            p = 3.0 * rng.normal(size=a.shape[1])
+        poly = Polyhedron(a, b)
+        ref = _projection_or_empty(project_enumerate, poly, p)
+        got = _projection_or_empty(project, poly, p)
+        assert (got is None) == (ref is None), i
+        if ref is None:
+            empty += 1
+            continue
+        scale = max(1.0, np.linalg.norm(p), np.max(np.abs(b)))
+        assert np.linalg.norm(got - ref) <= 1e-9 * scale, i
+    assert 60 <= empty <= 150  # about a third of the random draws
+
+
+def test_support_point_is_certified_by_the_enumeration_oracle():
+    # empty and unbounded verdicts against the oracle's projections of the
+    # origin onto K and of d onto the recession cone {r : A r <= 0}; a
+    # support point y must satisfy y = proj(y + d)
+    rng = np.random.default_rng(20261021)
+    verdicts = {"point": 0, "empty": 0, "unbounded": 0}
+    for i in range(240):
+        a, b = _random_polyhedron(rng)
+        m = a.shape[1]
+        if i % 3 == 0:  # bounded by box rows; at most 4 others keep the oracle quick
+            a = np.vstack([a[:4], np.eye(m), -np.eye(m)])
+            b = np.concatenate([b[:4], 2.0 + np.abs(rng.normal(size=2 * m))])
+        poly = Polyhedron(a, b)
+        d = rng.normal(size=m)
+        if _projection_or_empty(project_enumerate, poly, np.zeros(m)) is None:
+            with pytest.raises(EmptySet):
+                support_point(poly, d)
+            verdicts["empty"] += 1
+            continue
+        cone = project_enumerate(Polyhedron(a, np.zeros(len(b))), d / np.linalg.norm(d))
+        if np.linalg.norm(cone) > 1e-9:
+            with pytest.raises(Unbounded):
+                support_point(poly, d)
+            verdicts["unbounded"] += 1
+            continue
+        y = support_point(poly, d)
+        dev = np.linalg.norm(project_enumerate(poly, y + d) - y)
+        assert dev <= 1e-9 * (1.0 + np.linalg.norm(y)), i
+        verdicts["point"] += 1
+    assert min(verdicts.values()) >= 40, verdicts
+
+
+def test_enumeration_oracle_reaches_a_far_vertex():
+    # nearly parallel rows 1, 2 and 3 meet about 4,200 from the point, with
+    # multipliers near 6e6: the oracle once called this set empty
+    a = [[-0.9530604827127297, -0.9603982069325808, -0.797176798367555],
+         [-0.25698853573576547, -0.26471033723610216, -0.8886984412524996],
+         [0.2761478293825976, 0.08251594973391754, 0.7628432556253614],
+         [-1.4582697326584302, 1.3209180913167298, -2.3300490315595894],
+         [0.02864254817178489, 0.48707681238872624, 0.9232083993303386]]
+    b = [1.4822028392343625, -0.8111425833974624, -2.1054003609684697,
+         -3.0524199684966167, -0.9874905916243817]
+    p = [-1.0452464892779076, -4.565038037104851, 2.3309661517996814]
+    poly = Polyhedron(a, b)
+    ref = project_enumerate(poly, p)
+    assert np.linalg.norm(project(poly, p) - ref) <= 1e-9 * np.linalg.norm(ref)
+    assert contains(poly, ref, tol=1e-8)
 
 
 def test_projection_properties():

@@ -217,6 +217,48 @@ def test_box_and_its_polyhedron_step_alike():
             assert np.linalg.norm(a - b) <= 1e-9 * (1.0 + np.linalg.norm(b))
 
 
+def test_flat_polyhedron_far_from_the_point_steps_like_its_box():
+    # rng key [298, 9] of the family above, as literals: two pinned
+    # coordinates make two pairs of opposite rows, and the cone residual
+    # projects a point about 325 away from that flat set
+    box = Box([-np.inf, 1.3952080301743912, 2.2678790961707023],
+              [0.4104747450379142, 1.3952080301743912, 2.2678790961707023])
+    h_mat = np.array([
+        [0.2515528591499832, 0.23179891392949373, -0.11908363679186096, 0.02408528239859476],
+        [-0.40558237753650633, -1.1240505260504097, 0.22065549804488008, 0.7853841117238818],
+        [0.44971709467784926, -0.10398629446920364, -0.19309578750386214, 0.6125032796585276]])
+    g = np.array([-1.0499251767546602, -0.4762580992133779, 1.2275509541908165])
+    b_mat = np.array([
+        [0.5800905885173975, 0.12245099150041983, 0.21227584923391507],
+        [0.08633137146853483, 0.5793983413042961, 1.0643110651057837],
+        [0.7845464182613585, -0.9775970281346453, 0.18159040154450812],
+        [1.3135092649357656, 2.0441127709940954, 1.2101307748517427]])
+    c_mat = np.array([
+        [0.9082841365874921, 0.15457166589098462, 0.6289002413460307, 1.3559155224199473],
+        [-0.4535142250820309, 0.1482145252418581, 0.2980788805286836, 1.3391428575784892],
+        [0.7666650564749766, 0.9644226390583612, 0.6113056037180145, 0.8461233372669109]])
+    d_mat = np.array([
+        [0.19980886572564896, -0.9391859192468015, -0.06909040293973102],
+        [-0.9391859192468015, 4.432793056745979, 0.3373442934537947],
+        [-0.06909040293973102, 0.3373442934537947, 0.03258875650463507]])
+    x_prev = np.array([0.23115537459400382, 0.9915004056648788, 1.4416019005267304,
+                       0.1424610388698941])
+    y_in = np.array([-0.3776914359880349, -0.44624331307175147, -0.13089574776310822,
+                     1.1566241899833138])
+    h = 0.05
+    eye = np.eye(3)
+    poly = Polyhedron(np.vstack([eye, -eye[1:]]),
+                      np.concatenate([box.upper, -box.lower[1:]]))
+    steps = []
+    for k_set in (box, poly):
+        ms = DecomposedMovingSet(lambda t, _k=k_set: _k, h_mat, lambda t: g)
+        steps.append(solve_step(build_system(b_mat, c_mat, d_mat, ms), 0.0, x_prev, y_in, h))
+    ref, got = steps
+    assert ref.residual <= 1e-12 and got.residual <= 1e-12
+    for a, b in ((got.x_next, ref.x_next), (got.w, ref.w)):
+        assert np.linalg.norm(a - b) <= 1e-9 * (1.0 + np.linalg.norm(b))
+
+
 def test_resolvent_nonexpansive_when_output_is_transposed_input():
     # with C = B^T, P = I the step map is nonexpansive in y (kappa = 0)
     rng = np.random.default_rng(31)
