@@ -79,6 +79,8 @@ def simulate(sys, x0, t_final, n_steps, opts=None):
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.size != sys.n:
         raise ValueError(f"x0 must have length {sys.n}")
+    if not np.isfinite(x0).all():
+        raise ValueError("x0 must be finite")
     if not (t_final > 0.0):
         raise ValueError("t_final must be positive")
     n_steps = int(n_steps)

@@ -274,9 +274,11 @@ def load_scenario(source):
     if data.get("forcing") is not None:
         forcing = _parse_table(data["forcing"], "forcing", width=n)
     try:
-        x0 = linalg.as_vector(data["x0"], "x0", n)
-    except Exception as exc:
+        x0 = np.asarray(data["x0"], dtype=float).reshape(-1)
+    except (TypeError, ValueError) as exc:
         raise ValidationError(f"x0 must be a length-{n} vector") from exc
+    _require(x0.size == n, f"x0 must be a length-{n} vector")
+    _require(bool(np.isfinite(x0).all()), "x0 contains non-finite entries")
     t_final = _number(data["T"], "T")
     _require(t_final > 0.0, "T must be positive")
     n_steps = _count(data["n_steps"], "n_steps")

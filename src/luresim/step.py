@@ -22,7 +22,8 @@ simulate computes it once per run.
 
 There is one active-set enumerator, _active_set_enumerate. A polyhedron
 hands it its rows; box_vi_enumerate hands it a box's finite faces as rows,
-the faces of one coordinate forming one row group.
+the faces of one coordinate forming one row group. It solves the subsets of
+one size together, by one stacked pseudo-inverse per chunk of ENUM_CHUNK.
 """
 
 from __future__ import annotations
@@ -62,6 +63,9 @@ MIN_STEP = 1e-14
 MAX_NEWTON = 100
 # largest m at which a stalled box solve falls back to the 3^m face patterns
 ENUM_MAX_M = 8
+# subsets per stacked solve of _active_set_enumerate, which bounds its memory
+# (at box_vi_enumerate's m = 12 cap one size holds up to 126,720 subsets)
+ENUM_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -183,6 +187,13 @@ def _active_set_enumerate(a, b, m_mat, q, tol, groups=None):
     returns the feasible candidate of least multiplier norm together with
     the count of subsets examined. Raises NoSolution when no subset works;
     a candidate with a NaN fails every test.
+
+    The subsets of one size are solved together, ENUM_CHUNK at a time: one
+    stacked pinv gives each A_S M A_S^T nu = A_S q - b_S its minimum-norm
+    least-squares solution, with lstsq's cutoff, and the residual, sign and
+    feasibility tests run on whole arrays. The first least-norm candidate
+    in subset order (combinations of groups, then one row of each) wins a
+    tie, as it would one subset at a time.
     """
     k, m_dim = a.shape
     if groups is None:
@@ -190,31 +201,33 @@ def _active_set_enumerate(a, b, m_mat, q, tol, groups=None):
     scale = 1.0 + float(np.max(np.abs(q), initial=0.0)) + float(
         np.max(np.abs(b), initial=0.0))
     bound = tol * scale
-    best = None
-    examined = 0
-    for size in range(0, min(len(groups), m_dim) + 1):
-        for chosen in itertools.combinations(groups, size):
-            for subset in itertools.product(*chosen):
-                examined += 1
-                idx = list(subset)
-                a_s = a[idx]
-                lhs = a_s @ m_mat @ a_s.T
-                rhs = a_s @ q - b[idx]
-                nu = np.linalg.lstsq(lhs, rhs, rcond=None)[0] if size else np.zeros(0)
-                if size and not float(np.max(np.abs(lhs @ nu - rhs))) <= bound:
-                    continue
-                if size and not float(np.min(nu)) >= -bound:
-                    continue
-                mu = a_s.T @ nu if size else np.zeros(m_dim)
-                w = q - m_mat @ mu
-                if not float(np.max(a @ w - b, initial=-np.inf)) <= bound:
-                    continue
-                nrm = float(np.linalg.norm(mu))
-                if best is None or nrm < best[0]:
-                    best = (nrm, mu, w)
+    am = a @ m_mat
+    gram = am @ a.T  # a_i M a_j: every A_S M A_S^T is a block of it
+    slack = a @ q - b  # a w - b at mu = 0
+    # the empty subset: mu = 0 needs no solve
+    best = (0.0, np.zeros(m_dim)) if slack.max(initial=-np.inf) <= bound else None
+    examined = 1
+    for size in range(1, min(len(groups), m_dim) + 1):
+        subsets = itertools.chain.from_iterable(
+            itertools.product(*chosen) for chosen in itertools.combinations(groups, size))
+        while chunk := list(itertools.islice(subsets, ENUM_CHUNK)):
+            examined += len(chunk)
+            idx = np.array(chunk, dtype=np.intp)  # (N, s)
+            lhs = gram[idx[:, :, None], idx[:, None, :]]
+            rhs = slack[idx][:, :, None]
+            nu = np.linalg.pinv(lhs) @ rhs
+            ok = np.abs(lhs @ nu - rhs).max(axis=(1, 2)) <= bound
+            ok &= nu.min(axis=(1, 2)) >= -bound
+            mu = (nu[ok].transpose(0, 2, 1) @ a[idx[ok]])[:, 0]  # rows nu^T A_S
+            mu = mu[(slack - mu @ am.T).max(axis=1) <= bound]
+            if mu.size:
+                nrm = np.linalg.norm(mu, axis=1)
+                j = int(np.argmin(nrm))
+                if best is None or nrm[j] < best[0]:
+                    best = (nrm[j], mu[j])
     if best is None:
         raise NoSolution("no feasible active set")
-    return best[1], best[2], examined
+    return best[1], q - m_mat @ best[1], examined
 
 
 def _solve_multiplier(k_set, box, m_mat, q, m_max, opts):
@@ -231,7 +244,7 @@ def _solve_multiplier(k_set, box, m_mat, q, m_max, opts):
         When enumeration proves that no multiplier exists.
     SolverDiverged
         When Newton stalls on a box with m > ENUM_MAX_M, or a polyhedron has
-        more than 16 rows.
+        more than 16 rows or meets non-finite data.
     """
     if box is None:
         # peel Translate layers: N_{S+o}(w) = N_S(w - o), and A(w - o) <= b
@@ -245,6 +258,11 @@ def _solve_multiplier(k_set, box, m_mat, q, m_max, opts):
         if k_set.a.shape[0] > 16:
             raise SolverDiverged("polyhedral step enumeration capped at 16 rows")
         b = k_set.b if offset is None else k_set.b + k_set.a @ offset
+        # bounds |A q - b| in Python floats, which reach inf or nan silently
+        extent = float(np.abs(k_set.a).sum(axis=1).max(initial=0.0)) * float(
+            np.abs(q).max(initial=0.0)) + float(np.abs(b).max(initial=0.0))
+        if not math.isfinite(extent):
+            raise SolverDiverged(f"non-finite data in a polyhedral step: |A| |q| + |b| = {extent}")
         return _active_set_enumerate(k_set.a, b, m_mat, q, max(opts.tol, 1e-12))
     lower, upper = box
     try:

@@ -6,6 +6,7 @@ acceptance gate exercise the exact same family.
 
 import importlib
 import importlib.util
+import itertools
 import os
 import subprocess
 import sys
@@ -21,6 +22,51 @@ from luresim import (
     range_projector,
     scenario_dir,
 )
+from luresim.errors import NoSolution
+
+
+def active_set_enumerate_loop(a, b, m_mat, q, tol, groups=None):
+    """Loop reference of ``step._active_set_enumerate``: one lstsq per subset.
+
+    All KKT-consistent multipliers of mu in N_{Ay<=b}(q - M mu).
+
+    mu = A_S^T nu with nu >= 0 on an active subset S of the rows that holds
+    at most one row of each group (by default every row is its own group);
+    returns the feasible candidate of least multiplier norm together with
+    the count of subsets examined. Raises NoSolution when no subset works;
+    a candidate with a NaN fails every test.
+    """
+    k, m_dim = a.shape
+    if groups is None:
+        groups = [(i,) for i in range(k)]
+    scale = 1.0 + float(np.max(np.abs(q), initial=0.0)) + float(
+        np.max(np.abs(b), initial=0.0))
+    bound = tol * scale
+    best = None
+    examined = 0
+    for size in range(0, min(len(groups), m_dim) + 1):
+        for chosen in itertools.combinations(groups, size):
+            for subset in itertools.product(*chosen):
+                examined += 1
+                idx = list(subset)
+                a_s = a[idx]
+                lhs = a_s @ m_mat @ a_s.T
+                rhs = a_s @ q - b[idx]
+                nu = np.linalg.lstsq(lhs, rhs, rcond=None)[0] if size else np.zeros(0)
+                if size and not float(np.max(np.abs(lhs @ nu - rhs))) <= bound:
+                    continue
+                if size and not float(np.min(nu)) >= -bound:
+                    continue
+                mu = a_s.T @ nu if size else np.zeros(m_dim)
+                w = q - m_mat @ mu
+                if not float(np.max(a @ w - b, initial=-np.inf)) <= bound:
+                    continue
+                nrm = float(np.linalg.norm(mu))
+                if best is None or nrm < best[0]:
+                    best = (nrm, mu, w)
+    if best is None:
+        raise NoSolution("no feasible active set")
+    return best[1], best[2], examined
 
 
 def count_decompositions(monkeypatch):

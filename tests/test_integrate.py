@@ -259,6 +259,11 @@ def test_simulate_input_validation():
         simulate(sys_, sc.x0, -1.0, 10)
     with pytest.raises(ValueError):
         simulate(sys_, sc.x0, 1.0, 0)
+    x0 = sc.x0.copy()
+    x0[0] = np.nan
+    for opts in (None, SolverOptions(force=True)):
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            simulate(sys_, x0, 1.0, 10, opts)
 
 
 @pytest.mark.parametrize("name", sorted(CSV_SHA256))

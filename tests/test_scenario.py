@@ -72,6 +72,8 @@ def test_load_checks_matrix_shapes():
         load_scenario(_minimal(B=[[1.0, 2.0]]))
     with pytest.raises(ValidationError, match="x0 must be a length-1 vector"):
         load_scenario(_minimal(x0=[0.0, 0.0]))
+    with pytest.raises(ValidationError, match="x0 contains non-finite entries"):
+        load_scenario(_minimal(x0=[float("nan")]))
 
 
 def test_feedthrough_must_be_psd():

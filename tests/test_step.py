@@ -1,13 +1,21 @@
 """Implicit step solver: closed forms, oracle agreement, contraction bounds."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import FACE_KINDS, count_decompositions, random_step_instance
+from helpers import (
+    FACE_KINDS,
+    active_set_enumerate_loop,
+    count_decompositions,
+    random_box,
+    random_psd,
+    random_step_instance,
+)
 from luresim import (
     Box,
     DecomposedMovingSet,
@@ -22,6 +30,7 @@ from luresim import (
     project,
     solve_static_multiplier,
     solve_step,
+    step,
     whole_space,
 )
 from luresim.errors import (
@@ -84,17 +93,100 @@ def test_identity_reduction_step_is_projection():
         assert np.allclose(res.x_next, project(box, y), atol=1e-10)
 
 
-def test_step_on_polyhedral_set_is_projection():
+def _triangle_system():
     tri = Polyhedron(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]),
                      np.array([1.0, 1.0, 1.0]))
     ms = GeneralMovingSet(lambda t, x: tri, 0.0, 0.0)
-    sys_ = build_system(np.eye(2), np.eye(2), np.zeros((2, 2)), ms)
+    return tri, build_system(np.eye(2), np.eye(2), np.zeros((2, 2)), ms)
+
+
+def test_step_on_polyhedral_set_is_projection():
+    tri, sys_ = _triangle_system()
     rng = np.random.default_rng(8)
     for _ in range(10):
         y = 2.0 * rng.normal(size=2)
         res = solve_step(sys_, 0.0, np.zeros(2), y, 0.05)
         assert np.allclose(res.x_next, project(tri, y), atol=1e-9)
         assert res.residual <= 1e-10
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("y_in", [[np.nan, 0.0], [1e308, 1e308]])
+def test_polyhedral_step_on_non_finite_data_names_it(y_in):
+    # A q - b is NaN or overflows: no active set is to blame
+    _, sys_ = _triangle_system()
+    with pytest.raises(SolverDiverged, match="non-finite data in a polyhedral step"):
+        solve_step(sys_, 0.0, np.zeros(2), np.array(y_in), 0.05)
+
+
+def _outcome(enumerate_, *args):
+    try:
+        return enumerate_(*args)
+    except NoSolution:
+        return None
+
+
+def _assert_same_outcome(got, ref):
+    assert (got is None) == (ref is None)
+    if ref is not None:
+        assert got[2] == ref[2]
+        for x, y in zip(got[:2], ref[:2]):
+            assert np.linalg.norm(x - y) <= 1e-9 * (1.0 + np.linalg.norm(y))
+
+
+def _enumeration_matrix(rng, m):
+    # M = 0 (the stationary inclusion with D = 0), or a rank-deficient PSD
+    # part, possibly with a skew part, over a positive definite margin
+    if rng.random() < 0.2:
+        return np.zeros((m, m))
+    return random_psd(rng, m) + rng.choice([0.05, 1.0]) * np.eye(m)
+
+
+def test_active_set_enumerate_matches_loop_reference():
+    # the stacked enumerator against the one-lstsq-per-subset loop it
+    # replaced: same verdict and examined count, mu and w within 1e-9
+    rng = np.random.default_rng(14)
+    for draw in range(400):
+        m, k = int(rng.integers(1, 5)), int(rng.integers(0, 17))
+        a = rng.normal(size=(k, m))
+        if k > 1 and rng.random() < 0.3:
+            a[1] = rng.choice([1.0, -1.0, 2.0]) * a[0]  # exactly parallel rows
+        b = rng.uniform(-0.5, 1.5, size=k)
+        q = 2.0 * rng.normal(size=m)
+        if draw % 50 == 0:
+            q[0] = np.nan
+        args = (a, b, _enumeration_matrix(rng, m), q, 1e-10)
+        _assert_same_outcome(_outcome(step._active_set_enumerate, *args),
+                             _outcome(active_set_enumerate_loop, *args))
+
+
+def test_box_face_enumeration_matches_loop_reference(monkeypatch):
+    # box_vi_enumerate's row groups, with infinite and pinned faces
+    rng = np.random.default_rng(15)
+    for _ in range(150):
+        m = int(rng.integers(1, 6))
+        box = random_box(rng, m)
+        args = (_enumeration_matrix(rng, m), 2.0 * rng.normal(size=m),
+                box.lower, box.upper)
+        got = _outcome(box_vi_enumerate, *args)
+        with monkeypatch.context() as patch:
+            patch.setattr(step, "_active_set_enumerate", active_set_enumerate_loop)
+            ref = _outcome(box_vi_enumerate, *args)
+        _assert_same_outcome(got, ref)
+
+
+def test_box_face_enumeration_memory_is_bounded():
+    # 3^10 patterns; solved all at once, one size of them took about 34 MB
+    tracemalloc.start()
+    try:
+        mu, _, examined = box_vi_enumerate(np.eye(10), np.zeros(10),
+                                           -np.ones(10), np.ones(10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not mu.any()
+    assert examined == 3 ** 10
+    assert peak < 16 * 2**20
 
 
 def test_box_vi_enumerate_frozen_cases():
