@@ -4,7 +4,9 @@ A scenario holds the matrix tuple, an affine drift (state matrix plus an
 optional piecewise-linear forcing table), box bounds per constraint
 coordinate (constants, "inf"/"-inf", or piecewise-linear tables of time), an
 optional state-offset matrix H with offset table g, the initial state and the
-grid. Loading validates structure and the standing data assumptions:
+grid. A table is linear between its knots and constant beyond its end knots,
+as ``np.interp`` reads it; bounds are checked for crossing at every knot.
+Loading validates structure and the standing data assumptions:
 
   A1 (variation bound): the state sensitivity L_K2 of the moving set must not
       exceed c2 / ||C||.
@@ -18,6 +20,7 @@ enforced; see ``make_system`` and the ``check`` command.
 
 from __future__ import annotations
 
+import bisect
 import json
 import os
 from dataclasses import dataclass, field, replace
@@ -50,9 +53,54 @@ def scenario_dir():
     return os.path.join(os.path.dirname(__file__), "scenarios")
 
 
+class _PiecewiseLinear:
+    """Table columns and constants on one joint knot grid, read as np.interp does.
+
+    A column is a constant (+-inf allowed) or a table's ``(t, v)``. Each
+    interval between joint knots keeps, per column, the anchor knot, anchor
+    value and slope that np.interp takes from that column's own knots; beyond
+    the grid, at t = +-inf and at a NaN time the values are np.interp's too.
+    Only a -0.0 knot value on a rising or flat piece reads +0.0 at its knot.
+    """
+
+    def __init__(self, columns):
+        # a set, not np.unique: that imports numpy.ma, slow in a fresh process
+        self.knots = sorted({s for c in columns if isinstance(c, tuple) for s in c[0].tolist()})
+        knots = np.array(self.knots)
+        # v0 rows: first values, one row per inner interval, last values and
+        # NaN-time values; t0 and slope rows: the inner intervals
+        rows = zip(*(_column_rows(c, knots) for c in columns))
+        self.t0, self.v0, self.slope = map(np.column_stack, rows)
+
+    def __call__(self, t):
+        k = bisect.bisect_right(self.knots, t)
+        if 0 < k < len(self.knots):
+            return self.slope[k - 1] * (t - self.t0[k - 1]) + self.v0[k]
+        return self.v0[k if t == t else -1].copy()  # last row: a NaN time
+
+
+def _column_rows(column, knots):
+    left = knots[:-1]
+    if isinstance(column, tuple) and column[0].size > 1:
+        t, v = column
+        j = np.searchsorted(t, left, side="right") - 1
+        inner = (j >= 0) & (j < t.size - 1)
+        jj = np.clip(j, 0, t.size - 2)
+        slope = np.where(inner, (v[jj + 1] - v[jj]) / (t[jj + 1] - t[jj]), -0.0)
+        t0 = np.where(inner, t[jj], left)
+        v0 = np.where(inner, v[jj], np.where(j < 0, v[0], v[-1]))
+        return t0, np.concatenate(([v[0]], v0, [v[-1], np.nan])), slope
+    value = column[1][0] if isinstance(column, tuple) else column
+    # a flat piece: -0.0 * (t - t0) is -0.0 for t >= t0, and v + -0.0 is v
+    return left, np.full(left.size + 3, value), np.full(left.size, -0.0)
+
+
 @dataclass(frozen=True, eq=False)
 class Table:
-    """Piecewise-linear table of time; constant beyond the end knots."""
+    """Piecewise-linear table of time: linear between knots, constant beyond.
+
+    ``v`` holds one value or one row of values per knot, read as np.interp does.
+    """
 
     t: np.ndarray
     v: np.ndarray
@@ -64,20 +112,20 @@ class Table:
             raise ValidationError("table needs at least one knot")
         if np.any(np.diff(t) <= 0.0):
             raise ValidationError("table times must be strictly increasing")
+        if v.ndim not in (1, 2):
+            raise ValidationError("table values must be numbers or rows of numbers")
         if v.shape[0] != t.size:
             raise ValidationError("table values and times differ in length")
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
             raise ValidationError("table contains non-finite entries")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "v", v)
+        columns = [(t, column) for column in v.reshape(t.size, -1).T]
+        object.__setattr__(self, "_curve", _PiecewiseLinear(columns))
 
     def value(self, time):
-        time = float(time)
-        if self.v.ndim == 1:
-            return float(np.interp(time, self.t, self.v))
-        return np.array(
-            [np.interp(time, self.t, self.v[:, j]) for j in range(self.v.shape[1])]
-        )
+        values = self._curve(float(time))
+        return float(values[0]) if self.v.ndim == 1 else values
 
     def lipschitz(self):
         if self.t.size < 2:
@@ -178,10 +226,7 @@ def _parse_bound(entry, name, side):
             return -np.inf
         raise ValidationError(f"{name}: unknown bound token {entry!r}")
     if isinstance(entry, dict):
-        try:
-            return Table(entry["t"], entry["v"])
-        except KeyError as exc:
-            raise ValidationError(f"{name}: table needs 't' and 'v'") from exc
+        return _parse_table(entry, name, 1)
     if isinstance(entry, (int, float)):
         value = float(entry)
         _require(np.isfinite(value), f"{name}: numeric bound must be finite")
@@ -189,13 +234,12 @@ def _parse_bound(entry, name, side):
     raise ValidationError(f"{name}: unsupported bound entry {entry!r}")
 
 
-def _parse_table(data, name, width=None):
+def _parse_table(data, name, width):
     if not isinstance(data, dict) or "t" not in data or "v" not in data:
         raise ValidationError(f"{name} must be a table with 't' and 'v'")
     table = Table(data["t"], data["v"])
-    if width is not None:
-        got = 1 if table.v.ndim == 1 else table.v.shape[1]
-        _require(got == width, f"{name} values must have width {width}")
+    columns = table.v.reshape(table.t.size, -1).shape[1]
+    _require(columns == width, f"{name} values must have width {width}")
     return table
 
 
@@ -263,16 +307,11 @@ def load_scenario(source):
     )
     lower = [_parse_bound(e, f"set.lower[{i}]", "lower") for i, e in enumerate(lower_raw)]
     upper = [_parse_bound(e, f"set.upper[{i}]", "upper") for i, e in enumerate(upper_raw)]
-    _validate_bound_order(lower, upper)
     h_matrix = None
     if set_spec.get("H") is not None:
         h_matrix = _parse_matrix(set_spec["H"], "set.H", m, n)
-    g_table = None
-    if set_spec.get("g") is not None:
-        g_table = _parse_table(set_spec["g"], "set.g", width=m)
-    forcing = None
-    if data.get("forcing") is not None:
-        forcing = _parse_table(data["forcing"], "forcing", width=n)
+    g_table = None if set_spec.get("g") is None else _parse_table(set_spec["g"], "set.g", m)
+    forcing = None if data.get("forcing") is None else _parse_table(data["forcing"], "forcing", n)
     try:
         x0 = np.asarray(data["x0"], dtype=float).reshape(-1)
     except (TypeError, ValueError) as exc:
@@ -314,53 +353,15 @@ def load_scenario(source):
     return sc
 
 
-def _bound_sample_times(lower, upper, t_final):
-    knots = {0.0, float(t_final)}
-    for entry in list(lower) + list(upper):
-        if isinstance(entry, Table):
-            knots.update(float(t) for t in entry.t)
-    return sorted(knots)
-
-
-def _validate_bound_order(lower, upper):
-    knots = _bound_sample_times(lower, upper, 0.0)
-    for i, (lo, up) in enumerate(zip(lower, upper)):
-        for t in knots:
-            lo_v = lo.value(t) if isinstance(lo, Table) else lo
-            up_v = up.value(t) if isinstance(up, Table) else up
-            _require(
-                lo_v <= up_v,
-                f"set bounds cross on coordinate {i + 1} at t={t:g}",
-            )
-
-
-def _bounds_builder(lower, upper):
-    """Closure t -> Box; constant boxes are built once."""
-    time_varying = any(isinstance(e, Table) for e in list(lower) + list(upper))
-    if not time_varying:
-        fixed = Box(np.array([float(e) for e in lower]),
-                    np.array([float(e) for e in upper]))
-        return (lambda t: fixed), 0.0
-    lo_funcs = [
-        (e.value if isinstance(e, Table) else (lambda t, val=float(e): val))
-        for e in lower
-    ]
-    up_funcs = [
-        (e.value if isinstance(e, Table) else (lambda t, val=float(e): val))
-        for e in upper
-    ]
-
-    def base(t):
-        return Box(
-            np.array([f(t) for f in lo_funcs]), np.array([f(t) for f in up_funcs])
-        )
-
-    rates = []
-    for lo, up in zip(lower, upper):
-        lo_rate = lo.lipschitz() if isinstance(lo, Table) else 0.0
-        up_rate = up.lipschitz() if isinstance(up, Table) else 0.0
-        rates.append(max(lo_rate, up_rate))
-    return base, float(np.linalg.norm(rates))
+def _validate_bound_order(bounds, m):
+    # both sides are linear between the joint knots and constant beyond them,
+    # so lower <= upper at the knots holds at every t
+    times = sorted({0.0, *bounds.knots})
+    values = np.array([bounds(t) for t in times])
+    cross = np.argwhere(~(values[:, :m] <= values[:, m:]).T)
+    if cross.size:
+        i, k = cross[0]
+        raise ValidationError(f"set bounds cross on coordinate {i + 1} at t={times[k]:g}")
 
 
 def _declared(constants, key, computed, what):
@@ -379,8 +380,8 @@ def _declared(constants, key, computed, what):
 def make_system(sc):
     """Build the runnable system and its certification report.
 
-    Assumption A1/A2 violations raise ValidationError; all other
-    certification facts become report items. A decomposed moving set whose
+    Assumption A1/A2 violations and bounds that cross raise ValidationError;
+    all other certification facts become report items. A decomposed set whose
     offsets leave rge(D + D^T) is downgraded to the general form with a
     warning (trajectories are unaffected; uniqueness-based conclusions are).
     A scenario from :func:`load_scenario` returns the report built at load.
@@ -389,41 +390,39 @@ def make_system(sc):
         return sc._report
     warnings = []
     d = sc.d_matrix
-    base, lh1 = _bounds_builder(sc.lower, sc.upper)
-    h_matrix = sc.h_matrix if sc.h_matrix is not None else np.zeros((sc.m, sc.n))
-    if sc.g_table is not None:
-        g_tab = sc.g_table
+    m = sc.m
+    bounds = _PiecewiseLinear([(e.t, e.v.reshape(-1)) if isinstance(e, Table) else float(e)
+                               for e in [*sc.lower, *sc.upper]])
+    _validate_bound_order(bounds, m)
 
-        def g_fn(t):
-            val = g_tab.value(t)
-            return np.atleast_1d(np.asarray(val, dtype=float))
+    def base(t):
+        values = bounds(t)
+        return Box(values[:m], values[m:])
 
-        lh2 = g_tab.lipschitz()
-    else:
-        zero_g = np.zeros(sc.m)
-        g_fn = lambda t: zero_g  # noqa: E731
-        lh2 = 0.0
+    if not bounds.knots:  # constant bounds: one validated Box serves every step
+        fixed = base(0.0)
+        base = lambda t: fixed  # noqa: E731
+    rates = np.abs(bounds.slope).max(axis=0, initial=0.0)
+    lh1 = float(np.linalg.norm(np.maximum(rates[:m], rates[m:])))
+    h_matrix = sc.h_matrix if sc.h_matrix is not None else np.zeros((m, sc.n))
+    no_g = sc.g_table is None
+    g = _PiecewiseLinear([0.0] * m) if no_g else sc.g_table._curve
+    lh2 = 0.0 if no_g else sc.g_table.lipschitz()
     lh1 = _declared(sc.constants, "Lh1", lh1, "base-set time rate")
     lh2 = _declared(sc.constants, "Lh2", lh2, "offset time rate")
     lh = _declared(
         sc.constants, "Lh", linalg.spectral_norm(h_matrix), "state sensitivity"
     )
     moving = DecomposedMovingSet(
-        base=base, h_matrix=h_matrix, g=g_fn, lh1=lh1, lh2=lh2, lh=lh
+        base=base, h_matrix=h_matrix, g=g, lh1=lh1, lh2=lh2, lh=lh
     )
     lk1_eff = _declared(sc.constants, "LK1", lh1 + lh2, "time variation rate")
     lk2_eff = _declared(sc.constants, "LK2", lh, "state variation rate")
 
     dd = d + d.T
     range_h_ok = linalg.range_inclusion(h_matrix, dd)
-    g_samples = None
-    if sc.g_table is not None:
-        g_samples = (
-            sc.g_table.v.reshape(-1, 1)
-            if sc.g_table.v.ndim == 1
-            else sc.g_table.v.T
-        )
-    range_g_ok = g_samples is None or linalg.range_inclusion(g_samples, dd)
+    # g's knot values as columns of length m
+    range_g_ok = no_g or linalg.range_inclusion(sc.g_table.v.reshape(-1, m).T, dd)
     decomposed_ok = bool(range_h_ok and range_g_ok)
     if decomposed_ok:
         moving_final = moving
@@ -444,12 +443,10 @@ def make_system(sc):
     a_mat = sc.a_matrix
     lf = _declared(sc.constants, "Lf", linalg.spectral_norm(a_mat), "drift rate")
     if sc.forcing is not None:
-        forcing_tab = sc.forcing
+        forcing = sc.forcing._curve
 
         def drift(t, x):
-            return a_mat @ x + np.atleast_1d(
-                np.asarray(forcing_tab.value(t), dtype=float)
-            )
+            return a_mat @ x + forcing(float(t))
     else:
 
         def drift(t, x):

@@ -243,8 +243,8 @@ def _solve_multiplier(k_set, box, m_mat, q, m_max, opts):
     NoSolution
         When enumeration proves that no multiplier exists.
     SolverDiverged
-        When Newton stalls on a box with m > ENUM_MAX_M, or a polyhedron has
-        more than 16 rows or meets non-finite data.
+        When Newton stalls on a box with m > ENUM_MAX_M, a step meets
+        non-finite data, or a polyhedron has more than 16 rows.
     """
     if box is None:
         # peel Translate layers: N_{S+o}(w) = N_S(w - o), and A(w - o) <= b
@@ -270,10 +270,12 @@ def _solve_multiplier(k_set, box, m_mat, q, m_max, opts):
         if np.finfo(float).eps * m_max * _norm(mu) * q.size > opts.tol * (1.0 + _norm(q)):
             raise SolverDiverged("inner box solve ended in rounding noise")
         return mu, w, iterations
-    except SolverDiverged:
+    except SolverDiverged as exc:
         # the bounds come from as_box unvalidated; a translation that
         # overflows a bound to an empty interval can only end up here
         sets.Box(lower, upper)
+        if exc.residual is not None and not math.isfinite(exc.residual):
+            raise SolverDiverged(f"non-finite data in a box step: {exc}") from exc
         if q.size > ENUM_MAX_M:
             raise
         return box_vi_enumerate(m_mat, q, lower, upper)

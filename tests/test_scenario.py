@@ -120,6 +120,22 @@ def test_bounds_may_not_cross():
     spec = {"lower": [{"t": [0.0, 1.0], "v": [0.0, 2.0]}], "upper": [1.0]}
     with pytest.raises(ValidationError, match="set bounds cross"):
         load_scenario(_minimal(set=spec))
+    # the upper table dips below the lower one at a knot only it has
+    spec = {
+        "lower": [{"t": [0.0, 2.0], "v": [0.0, 0.0]}],
+        "upper": [{"t": [0.0, 1.0, 2.0], "v": [1.0, -1.0, 1.0]}],
+    }
+    with pytest.raises(ValidationError, match=r"coordinate 1 at t=1$"):
+        load_scenario(_minimal(set=spec))
+    # coordinate 2 crosses at t = 1, coordinate 1 only at t = 3: the message
+    # names the first coordinate that crosses at all
+    spec = {
+        "lower": [{"t": [0.0, 3.0], "v": [0.0, 2.0]}, {"t": [1.0], "v": [5.0]}],
+        "upper": [1.9, {"t": [0.0, 1.0, 2.0], "v": [9.0, 4.0, 9.0]}],
+    }
+    two = _minimal(m=2, B=[[1.0, 0.0]], C=[[1.0], [0.0]], D=[[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValidationError, match=r"coordinate 1 at t=3$"):
+        load_scenario(dict(two, set=spec))
 
 
 def test_table_validation_and_interpolation():
@@ -139,6 +155,95 @@ def test_table_validation_and_interpolation():
         Table([0.0], [float("nan")])
     with pytest.raises(ValidationError, match="at least one knot"):
         Table([], [])
+
+
+def _interp_reference(column, times):
+    if isinstance(column, tuple):
+        return np.array([np.interp(t, *column) for t in times])
+    return np.full(len(times), column)
+
+
+def _probe_times(columns):
+    knots = np.unique(np.concatenate([c[0] for c in columns if isinstance(c, tuple)]))
+    mids = 0.5 * (knots[1:] + knots[:-1])
+    return np.concatenate(
+        [knots, mids, [knots[0] - 1.0, knots[-1] + 1.0, -np.inf, np.inf, np.nan]]
+    )
+
+
+def _random_table(rng, width=None):
+    size = int(rng.integers(1, 8))
+    t = np.sort(rng.choice(np.arange(-20, 40), size=size, replace=False) * 0.125
+                + rng.uniform(0.0, 0.1))
+    shape = size if width is None else (size, width)
+    return t, rng.normal(size=shape)
+
+
+def test_tables_match_interp_bit_for_bit():
+    rng = np.random.default_rng(15)
+    for _ in range(60):
+        # Table.value: scalar and vector tables, one to seven knots
+        t, v = _random_table(rng, width=None if rng.random() < 0.5 else 3)
+        columns = [(t, col) for col in v.reshape(t.size, -1).T]
+        times = _probe_times(columns)
+        ref = np.column_stack([_interp_reference(c, times) for c in columns])
+        got = np.array([np.atleast_1d(Table(t, v).value(s)) for s in times])
+        assert np.array_equal(got, ref, equal_nan=True)
+    for _ in range(40):
+        # a loaded scenario: bounds from tables on their own grids, one-knot
+        # tables and +-inf constants; g and forcing as vector tables
+        lower, upper = [], []
+        for side, inf, shift in ((lower, "-inf", -3.0), (upper, "inf", 3.0)):
+            for _ in range(3):
+                pick = rng.random()
+                if pick < 0.2:
+                    side.append((inf, -np.inf if shift < 0 else np.inf))
+                elif pick < 0.35:
+                    side.append((shift, shift))
+                else:
+                    t, v = _random_table(rng)
+                    v = shift + np.clip(v, -1.0, 1.0)
+                    side.append(({"t": t.tolist(), "v": v.tolist()}, (t, v)))
+        g = _random_table(rng, width=3)
+        forcing = _random_table(rng, width=3)
+        eye = np.eye(3).tolist()
+        sc = load_scenario(_minimal(
+            n=3, m=3, A=np.zeros((3, 3)).tolist(), B=eye, C=eye, D=eye, x0=[0.0] * 3,
+            set={"lower": [e for e, _ in lower], "upper": [e for e, _ in upper],
+                 "g": {"t": g[0].tolist(), "v": g[1].tolist()}},
+            forcing={"t": forcing[0].tolist(), "v": forcing[1].tolist()},
+        ))
+        system = make_system(sc).system
+        moving = system.K
+        bounds = [c for _, c in lower + upper]
+        g_cols = [(g[0], col) for col in g[1].T]
+        f_cols = [(forcing[0], col) for col in forcing[1].T]
+        tables = [c for c in bounds + g_cols + f_cols if isinstance(c, tuple)]
+        times = _probe_times(tables)
+        finite = times[~np.isnan(times)]  # a NaN bound is no Box
+        boxes = [moving.base(s) for s in finite]
+        got = np.array([np.concatenate([b.lower, b.upper]) for b in boxes])
+        ref = np.column_stack([_interp_reference(c, finite) for c in bounds])
+        assert np.array_equal(got, ref)
+        for fn, cols in ((moving.g, g_cols),
+                         (lambda s: system.drift(s, np.zeros(3)), f_cols)):
+            got = np.array([fn(s) for s in times])
+            ref = np.column_stack([_interp_reference(c, times) for c in cols])
+            assert np.array_equal(got, ref, equal_nan=True)
+
+
+def test_table_shapes_are_checked():
+    with pytest.raises(ValidationError, match="numbers or rows of numbers"):
+        Table([0.0], 1.0)
+    with pytest.raises(ValidationError, match="numbers or rows of numbers"):
+        Table([0.0], [[[1.0]]])
+    # a bound table holds one number per knot; g is a column of length m
+    bound = {"t": [0.0, 1.0], "v": [[-1.0, -2.0], [-1.0, -2.0]]}
+    with pytest.raises(ValidationError, match=r"set.lower\[0\] values must have width 1"):
+        load_scenario(_minimal(set={"lower": [bound], "upper": [1.0]}))
+    spec = {"lower": [-1.0], "upper": [1.0], "g": {"t": [0.0, 1.0], "v": [0.0, 0.5]}}
+    checks = make_system(load_scenario(_minimal(set=spec))).checks
+    assert next(c for c in checks if c.name == "offset range condition").ok
 
 
 def test_declared_constants_floor():

@@ -23,6 +23,7 @@ from luresim import (
     PassivityCertificate,
     Polyhedron,
     SolverOptions,
+    admissible,
     box_vi_enumerate,
     brute_force_step_oracle,
     build_system,
@@ -117,6 +118,18 @@ def test_polyhedral_step_on_non_finite_data_names_it(y_in):
     _, sys_ = _triangle_system()
     with pytest.raises(SolverDiverged, match="non-finite data in a polyhedral step"):
         solve_step(sys_, 0.0, np.zeros(2), np.array(y_in), 0.05)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("y_in", [[np.nan, 0.0], [0.0, np.nan]])
+def test_box_step_on_non_finite_data_names_it(y_in):
+    # Newton starts at residual nan; face enumeration must not read that as
+    # "no feasible active set", nor admissibility as a proof of none
+    ms = GeneralMovingSet(lambda t, x: Box([-1.0, -1.0], [1.0, 1.0]), 0.0, 0.0)
+    sys_ = build_system(np.eye(2), np.eye(2), np.zeros((2, 2)), ms)
+    with pytest.raises(SolverDiverged, match="non-finite data in a box step"):
+        solve_step(sys_, 0.0, np.zeros(2), np.array(y_in), 0.05)
+    assert admissible(ms, sys_, y_in) is None
 
 
 def _outcome(enumerate_, *args):
