@@ -11,193 +11,29 @@ bounds) and checks quantitative decay and sensitivity envelopes on
 simulated trajectories.
 """
 
-from .analysis import (
-    RateReport,
-    ScenarioTransform,
-    attractivity_check,
-    convergence_order,
-    dis_bound,
-    lipschitz_dependence_check,
-    perturb_transform,
-)
-from .errors import (
-    DimensionMismatch,
-    EmptySet,
-    HypothesisFailed,
-    InfiniteDistance,
-    KernelInclusionViolated,
-    LureError,
-    MissingConstant,
-    NoPositiveEigenvalue,
-    NoSolution,
-    NonFiniteDrift,
-    NotAdmissible,
-    NotPSD,
-    NotSymmetric,
-    ParseError,
-    RangeConditionViolated,
-    SolverDiverged,
-    StepTooLarge,
-    StepTooSmall,
-    Unbounded,
-    ValidationError,
-)
-from .integrate import (
-    Trajectory,
-    from_csv,
-    richardson_refine,
-    simulate,
-    to_csv,
-)
-from .linalg import (
-    PassivityCertificate,
-    certify,
-    check_passive,
-    is_positive_semidefinite,
-    kernel_basis,
-    kernel_inclusion,
-    range_inclusion,
-    range_projector,
-    select_kappa,
-    smallest_positive_eigenvalue,
-)
-from .moving import (
-    DecomposedMovingSet,
-    GeneralMovingSet,
-    LipschitzReport,
-    admissible,
-    hypomonotonicity_gap,
-    verify_lipschitz,
-)
-from .scenario import (
-    CheckItem,
-    Scenario,
-    SystemReport,
-    Table,
-    emit_scenario,
-    load_scenario,
-    make_system,
-    perturb_scenario,
-    raw_tuple_report,
-    save_scenario,
-    scenario_dir,
-)
-from .sets import (
-    Box,
-    Polyhedron,
-    Translate,
-    contains,
-    distance,
-    hausdorff_box,
-    hausdorff_sampled,
-    normal_cone_residual,
-    project,
-    project_enumerate,
-    support_point,
-    whole_space,
-)
-from .step import (
-    SolverOptions,
-    StepResult,
-    box_vi_enumerate,
-    brute_force_step_oracle,
-    inner_solve_box,
-    solve_static_multiplier,
-    solve_step,
-)
-from .system import (
-    CanonicalMap,
-    LureSystem,
-    build_system,
-    canonicalize,
-)
-from .svgplot import trajectory_svg, write_svg
+# each module's literal __all__ is the one declaration of its public names
+from .analysis import *
+from .errors import *
+from .integrate import *
+from .linalg import *
+from .moving import *
+from .scenario import *
+from .sets import *
+from .step import *
+from .system import *
+from .svgplot import *
+from . import analysis, errors, integrate, linalg, moving, scenario, sets, step, system, svgplot
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Box",
-    "CanonicalMap",
-    "CheckItem",
-    "DecomposedMovingSet",
-    "DimensionMismatch",
-    "EmptySet",
-    "GeneralMovingSet",
-    "HypothesisFailed",
-    "InfiniteDistance",
-    "KernelInclusionViolated",
-    "LipschitzReport",
-    "LureError",
-    "LureSystem",
-    "MissingConstant",
-    "NoPositiveEigenvalue",
-    "NoSolution",
-    "NonFiniteDrift",
-    "NotAdmissible",
-    "NotPSD",
-    "NotSymmetric",
-    "ParseError",
-    "PassivityCertificate",
-    "Polyhedron",
-    "RangeConditionViolated",
-    "RateReport",
-    "Scenario",
-    "ScenarioTransform",
-    "SolverDiverged",
-    "SolverOptions",
-    "StepResult",
-    "StepTooLarge",
-    "StepTooSmall",
-    "SystemReport",
-    "Table",
-    "Trajectory",
-    "Translate",
-    "Unbounded",
-    "ValidationError",
-    "admissible",
-    "attractivity_check",
-    "box_vi_enumerate",
-    "brute_force_step_oracle",
-    "build_system",
-    "canonicalize",
-    "certify",
-    "check_passive",
-    "contains",
-    "convergence_order",
-    "dis_bound",
-    "distance",
-    "emit_scenario",
-    "from_csv",
-    "hausdorff_box",
-    "hausdorff_sampled",
-    "hypomonotonicity_gap",
-    "inner_solve_box",
-    "is_positive_semidefinite",
-    "kernel_basis",
-    "kernel_inclusion",
-    "lipschitz_dependence_check",
-    "load_scenario",
-    "make_system",
-    "normal_cone_residual",
-    "perturb_scenario",
-    "raw_tuple_report",
-    "perturb_transform",
-    "project",
-    "project_enumerate",
-    "range_inclusion",
-    "range_projector",
-    "richardson_refine",
-    "save_scenario",
-    "scenario_dir",
-    "select_kappa",
-    "simulate",
-    "smallest_positive_eigenvalue",
-    "solve_static_multiplier",
-    "solve_step",
-    "support_point",
-    "to_csv",
-    "trajectory_svg",
-    "verify_lipschitz",
-    "whole_space",
-    "write_svg",
-]
+__all__: list[str] = []
+__all__ += analysis.__all__
+__all__ += errors.__all__
+__all__ += integrate.__all__
+__all__ += linalg.__all__
+__all__ += moving.__all__
+__all__ += scenario.__all__
+__all__ += sets.__all__
+__all__ += step.__all__
+__all__ += system.__all__
+__all__ += svgplot.__all__

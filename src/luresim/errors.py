@@ -4,6 +4,29 @@ All library errors derive from LureError so callers can catch broadly.
 Solver-flow errors carry enough context to diagnose which step failed.
 """
 
+__all__ = [
+    "DimensionMismatch",
+    "EmptySet",
+    "HypothesisFailed",
+    "InfiniteDistance",
+    "KernelInclusionViolated",
+    "LureError",
+    "MissingConstant",
+    "NoPositiveEigenvalue",
+    "NoSolution",
+    "NonFiniteDrift",
+    "NotAdmissible",
+    "NotPSD",
+    "NotSymmetric",
+    "ParseError",
+    "RangeConditionViolated",
+    "SolverDiverged",
+    "StepTooLarge",
+    "StepTooSmall",
+    "Unbounded",
+    "ValidationError",
+]
+
 
 class LureError(Exception):
     """Base class for all luresim errors."""

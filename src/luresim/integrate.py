@@ -14,7 +14,6 @@ diagnostics. Row 0 carries the multiplier of the stationary inclusion at
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,67 +187,49 @@ def richardson_refine(sys, x0, t_final, n0, levels, opts=None):
     return [simulate(sys, x0, t_final, n0 * (2**k), opts) for k in range(levels)]
 
 
-def to_csv(traj, target):
-    """Write the trajectory as CSV with 17 significant digits.
-
-    ``target`` is a path or a writable text file object. Columns:
-    t, x_1..x_n, lambda_1..lambda_m, y_1..y_m, residual, iters.
-    """
-    n = traj.states.shape[1]
-    m = traj.lambdas.shape[1]
-    cols = (
+def _columns(n, m):
+    """CSV header names and ``np.savetxt`` formats, one per column, in order."""
+    names = (
         ["t"]
         + [f"x_{j + 1}" for j in range(n)]
         + [f"lambda_{j + 1}" for j in range(m)]
         + [f"y_{j + 1}" for j in range(m)]
         + ["residual", "iters"]
     )
-    lines = [",".join(cols)]
-    for i in range(traj.times.size):
-        vals = (
-            [traj.times[i]]
-            + list(traj.states[i])
-            + list(traj.lambdas[i])
-            + list(traj.outputs[i])
-            + [traj.residuals[i]]
-        )
-        row = ",".join("%.17g" % v for v in vals) + f",{int(traj.iterations[i])}"
-        lines.append(row)
-    text = "\n".join(lines) + "\n"
-    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        target.write(text)
+    return names, ["%.17g"] * (len(names) - 1) + ["%d"]
+
+
+def to_csv(traj, target):
+    """Write the trajectory as CSV with 17 significant digits.
+
+    ``target`` is a path or a writable text file object. Columns:
+    t, x_1..x_n, lambda_1..lambda_m, y_1..y_m, residual, iters.
+    """
+    names, fmt = _columns(traj.states.shape[1], traj.lambdas.shape[1])
+    data = np.column_stack([traj.times, traj.states, traj.lambdas, traj.outputs,
+                            traj.residuals, traj.iterations])
+    np.savetxt(target, data, fmt=fmt, delimiter=",", header=",".join(names), comments="")
 
 
 def from_csv(source):
-    """Read a trajectory written by :func:`to_csv` (diagnostics are not stored)."""
+    """Read a trajectory written by :func:`to_csv` (diagnostics are not stored).
+
+    ``source`` is a path or a readable text file object.
+    """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    elif isinstance(source, io.TextIOBase):
-        text = source.read()
-    else:
-        text = str(source)
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    header = lines[0].split(",")
-    n = sum(1 for cname in header if cname.startswith("x_"))
-    m = sum(1 for cname in header if cname.startswith("lambda_"))
-    rows = [ln.split(",") for ln in lines[1:]]
-    data = np.array([[float(v) for v in r] for r in rows])
-    times = data[:, 0]
-    states = data[:, 1 : 1 + n]
-    lambdas = data[:, 1 + n : 1 + n + m]
-    outputs = data[:, 1 + n + m : 1 + n + 2 * m]
-    residuals = data[:, 1 + n + 2 * m]
-    iterations = data[:, 2 + n + 2 * m].astype(int)
+        with open(source, encoding="utf-8") as fh:
+            return from_csv(fh)
+    header = source.readline().strip().split(",")
+    n = sum(name.startswith("x_") for name in header)
+    m = sum(name.startswith("lambda_") for name in header)
+    if header != _columns(n, m)[0]:
+        raise ValueError(f"not a trajectory CSV header: {','.join(header)}")
+    data = np.loadtxt(source, delimiter=",", ndmin=2)
     return Trajectory(
-        times=times,
-        states=states,
-        lambdas=lambdas,
-        outputs=outputs,
-        residuals=residuals,
-        iterations=iterations,
-        diag={},
+        times=data[:, 0],
+        states=data[:, 1 : 1 + n],
+        lambdas=data[:, 1 + n : 1 + n + m],
+        outputs=data[:, 1 + n + m : 1 + n + 2 * m],
+        residuals=data[:, 1 + n + 2 * m],
+        iterations=data[:, 2 + n + 2 * m].astype(int),
     )

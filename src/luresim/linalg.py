@@ -22,8 +22,6 @@ from .errors import (
 
 __all__ = [
     "PassivityCertificate",
-    "as_matrix",
-    "as_vector",
     "check_passive",
     "certify",
     "is_positive_semidefinite",
@@ -33,10 +31,6 @@ __all__ = [
     "range_projector",
     "select_kappa",
     "smallest_positive_eigenvalue",
-    "spectral_norm",
-    "storage_congruence",
-    "storage_mismatch",
-    "sym",
 ]
 
 
@@ -50,16 +44,6 @@ def as_matrix(a, name="matrix", shape=None):
     if shape is not None and m.shape != tuple(shape):
         raise DimensionMismatch(f"{name} must have shape {tuple(shape)}, got {m.shape}")
     return m
-
-
-def as_vector(a, name="vector", size=None):
-    """Coerce to a finite 1-D float64 array, optionally enforcing a length."""
-    v = np.asarray(a, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(v)):
-        raise DimensionMismatch(f"{name} contains non-finite entries")
-    if size is not None and v.size != size:
-        raise DimensionMismatch(f"{name} must have length {size}, got {v.size}")
-    return v
 
 
 def sym(m):
@@ -168,7 +152,7 @@ def range_inclusion(x, y, tol=1e-9):
     nx = spectral_norm(x)
     if nx == 0.0:
         return True
-    u, s, _ = np.linalg.svd(y)
+    u, s, _ = np.linalg.svd(y, full_matrices=False)
     smax = float(s[0]) if s.size else 0.0
     if smax == 0.0:
         return nx <= tol
@@ -208,6 +192,16 @@ def kernel_inclusion(d, p, b, c, tol=1e-9):
     return bool(np.max(np.linalg.norm(resid, axis=0)) <= tol * max(nw, 1.0))
 
 
+def _storage_alpha(p, tol):
+    """Smallest eigenvalue of the storage matrix P, which must be symmetric positive definite."""
+    if _asymmetric(p, tol):
+        raise NotSymmetric("P must be symmetric")
+    alpha = float(np.linalg.eigvalsh(sym(p))[0])
+    if alpha <= 0.0:
+        raise NotPSD("P must be positive definite")
+    return alpha
+
+
 def _shift(alpha, w, b, c, d, c1, tol):
     """``select_kappa``'s formula for ``w = P B - C^T``; c1 None is computed on use."""
     nw = spectral_norm(w)
@@ -238,8 +232,8 @@ def select_kappa(p, b, c, d, require_kernel_inclusion=False, tol=1e-9):
 
     Raises
     ------
-    NotPSD
-        If P is not positive definite.
+    NotSymmetric, NotPSD
+        If P is not symmetric, or symmetric but not positive definite.
     NoPositiveEigenvalue
         If ``P B != C^T`` while ``D + D^T`` has no positive eigenvalue.
     """
@@ -247,11 +241,7 @@ def select_kappa(p, b, c, d, require_kernel_inclusion=False, tol=1e-9):
     b = as_matrix(b, "B")
     c = as_matrix(c, "C")
     d = as_matrix(d, "D")
-    if _asymmetric(p, tol):
-        raise NotSymmetric("P must be symmetric")
-    alpha = float(np.linalg.eigvalsh(sym(p))[0])
-    if alpha <= 0.0:
-        raise NotPSD("P must be positive definite")
+    alpha = _storage_alpha(p, tol)
     if require_kernel_inclusion and not kernel_inclusion(d, p, b, c, tol):
         raise KernelInclusionViolated(
             "ker(D + D^T) is not contained in ker(P B - C^T)"
@@ -355,9 +345,7 @@ def certify(b, c, d, p=None, kappa=None, tol=1e-9):
     n_dim = b.shape[0]
     storage = None if p is None else as_matrix(p, "P", (n_dim, n_dim))
     p = np.eye(n_dim) if storage is None else storage
-    alpha = float(np.linalg.eigvalsh(sym(p))[0])
-    if alpha <= 0.0:
-        raise NotPSD("P must be positive definite")
+    alpha = _storage_alpha(p, tol)
     try:
         c1 = smallest_positive_eigenvalue(d + d.T, tol)
     except NoPositiveEigenvalue:
@@ -366,8 +354,6 @@ def certify(b, c, d, p=None, kappa=None, tol=1e-9):
         c2 = smallest_positive_eigenvalue(c @ c.T, tol)
     except NoPositiveEigenvalue:
         c2 = None
-    if _asymmetric(p, tol):
-        raise NotSymmetric("P must be symmetric")
     formula = _shift(alpha, p @ b - c.T, b, c, d, c1, tol)  # c1 None: raises on use
     step_kappa = None
     if kappa is None:

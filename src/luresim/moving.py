@@ -23,10 +23,8 @@ __all__ = [
     "DecomposedMovingSet",
     "GeneralMovingSet",
     "LipschitzReport",
-    "MovingSet",
     "admissible",
     "hypomonotonicity_gap",
-    "lipschitz_constants",
     "verify_lipschitz",
 ]
 

@@ -26,12 +26,9 @@ from .errors import (
 
 __all__ = [
     "Box",
-    "ConvexSet",
     "Polyhedron",
     "Translate",
-    "as_box",
     "contains",
-    "dim",
     "distance",
     "hausdorff_box",
     "hausdorff_sampled",

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -101,6 +102,20 @@ class StepResult:
 def _norm(v):
     # np.linalg.norm's own formula for a 1-D float vector, minus its overhead
     return math.sqrt(v.dot(v))
+
+
+def _reduced_input(c_mat, y, denom=1.0):
+    """``C y / denom``, all NaN when ``||y||^2`` is not finite.
+
+    A NaN or an infinity in y (0 * inf inside the product) or a y whose
+    squares overflow (in the step's norms) would make numpy warn; a NaN q
+    instead reaches the solve's own "non-finite data" error. The test runs
+    in Python floats, which overflow to inf silently.
+    """
+    y_list = y.tolist()
+    if not sum(map(operator.mul, y_list, y_list)) < math.inf:
+        return np.full(c_mat.shape[0], np.nan)
+    return (c_mat @ y) / denom
 
 
 def _box_residual(m_mat, q, lower, upper, mu):
@@ -350,7 +365,7 @@ def _advance(plan, t_next, x_prev, y_in, opts):
     """One step on validated 1-D float states; see :func:`solve_step`."""
     sys = plan.sys
     k_set = sys.K.at(t_next, x_prev)
-    q = (sys.C @ y_in) / plan.denom
+    q = _reduced_input(sys.C, y_in, plan.denom)
     box = sets.as_box(k_set)
     try:
         mu, _, iterations = _solve_multiplier(k_set, box, plan.m_mat, q, plan.m_max, opts)
@@ -415,7 +430,7 @@ def solve_static_multiplier(k_set, c_mat, d_mat, x0, opts=None):
     """
     if opts is None:
         opts = SolverOptions()
-    q = c_mat @ np.asarray(x0, dtype=float).reshape(-1)
+    q = _reduced_input(c_mat, np.asarray(x0, dtype=float).reshape(-1))
     return _solve_multiplier(k_set, sets.as_box(k_set), d_mat, q,
                              float(np.abs(d_mat).max(initial=0.0)), opts)
 
@@ -471,6 +486,6 @@ def brute_force_step_oracle(sys, t_next, x_prev, y_in, h, tol=1e-9):
     box = sets.as_box(k_set)
     if box is None:
         raise TypeError("oracle supports box-shaped sets only")
-    q = (sys.C @ y_in) / plan.denom
+    q = _reduced_input(sys.C, y_in, plan.denom)
     mu, _, examined = box_vi_enumerate(plan.m_mat, q, box[0], box[1], tol)
     return _step_result(plan, k_set, y_in, mu, examined)

@@ -19,7 +19,7 @@ from . import linalg
 from .errors import DimensionMismatch, NotPSD, RangeConditionViolated
 from .moving import DecomposedMovingSet, GeneralMovingSet, MovingSet, lipschitz_constants
 
-__all__ = ["LureSystem", "build_system", "canonicalize"]
+__all__ = ["CanonicalMap", "LureSystem", "build_system", "canonicalize"]
 
 
 @dataclass(frozen=True, eq=False)

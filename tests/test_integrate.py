@@ -170,6 +170,12 @@ def test_csv_accepts_file_objects():
     assert np.array_equal(back.states, traj.states)
 
 
+def test_csv_with_a_foreign_header_is_refused():
+    # the column names to_csv writes are the layout from_csv slices by
+    with pytest.raises(ValueError, match="not a trajectory CSV header"):
+        from_csv(io.StringIO("t,x_1,lambda_1,y_1,iters\n0,1,2,3,4\n"))
+
+
 def _pinned_channel_system(lower_slope=0.0):
     b = np.array([[0.0, 0.0], [0.0, 1.0]])
     if lower_slope:
@@ -409,12 +415,14 @@ def test_polyhedral_run_needs_no_scipy():
     assert res.returncode == 0, res.stderr
 
 
-def test_nan_drift_is_named_with_step_and_time():
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [[np.nan, np.nan], [np.inf, 0.0]], ids=["nan", "inf"])
+def test_nan_drift_is_named_with_step_and_time(bad):
     ms = DecomposedMovingSet(lambda t: Box([-1.0, -1.0], [1.0, 1.0]),
                              np.zeros((2, 2)), lambda t: np.zeros(2))
 
     def drift(t, x):
-        return np.full(2, np.nan) if t > 0.055 else -x
+        return np.array(bad) if t > 0.055 else -x
 
     sys_ = build_system(np.eye(2), np.eye(2), 0.5 * np.eye(2), ms,
                         drift=drift, lf=1.0)

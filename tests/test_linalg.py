@@ -270,6 +270,16 @@ def test_certification_errors_are_pinned():
         "NotPSD", "feedthrough matrix D must be positive semidefinite")
 
 
+def test_storage_that_is_neither_symmetric_nor_definite_is_named_alike():
+    # certify and select_kappa validate P through one helper, symmetry first;
+    # certify used to test definiteness first and call this P NotPSD
+    both_wrong = np.diag([1.0, -0.5, 2.0])
+    both_wrong[0, 2] = 0.1
+    not_sym = ("NotSymmetric", "P must be symmetric")
+    assert _error(certify, PIN_B, PIN_C, PIN_D, p=both_wrong) == not_sym
+    assert _error(select_kappa, both_wrong, PIN_B, PIN_C, PIN_D) == not_sym
+
+
 def test_spectral_norm_is_numpys_two_norm_exactly():
     rng = np.random.default_rng(11)
     mats = [rng.normal(size=(int(rng.integers(1, 6)), int(rng.integers(1, 6))))

@@ -18,6 +18,7 @@ from luresim import (
     raw_tuple_report,
     save_scenario,
     scenario_dir,
+    simulate,
 )
 from luresim.errors import ParseError, ValidationError
 
@@ -284,6 +285,23 @@ def test_report_constants_for_mismatched_tuple():
     assert verdicts["passive (kappa I, B, C, D) with storage P"] is False
     assert verdicts["D positive semidefinite"] is True
     assert rep.warnings == []
+
+
+@pytest.mark.parametrize("matrices, rge_d_in_c", [
+    ({"B": [[1.0, 0.0]], "C": [[1.0], [0.0]], "D": [[1.0, 0.0], [0.0, 1.0]]}, False),
+    ({"B": [[1.0, 1.0]], "C": [[1.0], [1.0]], "D": [[1.0, 1.0], [1.0, 1.0]]}, True),
+])
+def test_scenario_with_more_outputs_than_states_loads(matrices, rge_d_in_c):
+    # m > n: C cannot have full row rank, and rge(D) in rge(C) is a report
+    # item decided on C's thin SVD, not a load gate
+    data = _minimal(n=1, m=2, set={"lower": [-1.0, -1.0], "upper": [1.0, 1.0]},
+                    x0=[0.5], **matrices)
+    rep = make_system(load_scenario(data))
+    verdicts = {c.name: c.ok for c in rep.checks}
+    assert verdicts["rge(D) in rge(C)"] is rge_d_in_c
+    assert verdicts["C full row rank"] is False
+    traj = simulate(rep.system, [0.5], 1.0, 10)
+    assert traj.states.shape == (11, 1) and np.all(np.isfinite(traj.states))
 
 
 def test_report_downgrades_offsets_outside_feedthrough_range():

@@ -112,7 +112,7 @@ def test_step_on_polyhedral_set_is_projection():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("y_in", [[np.nan, 0.0], [1e308, 1e308]])
+@pytest.mark.parametrize("y_in", [[np.nan, 0.0], [1e308, 1e308], [np.inf, 0.0]])
 def test_polyhedral_step_on_non_finite_data_names_it(y_in):
     # A q - b is NaN or overflows: no active set is to blame
     _, sys_ = _triangle_system()
@@ -121,7 +121,7 @@ def test_polyhedral_step_on_non_finite_data_names_it(y_in):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("y_in", [[np.nan, 0.0], [0.0, np.nan]])
+@pytest.mark.parametrize("y_in", [[np.nan, 0.0], [0.0, np.nan], [np.inf, 0.0], [1e308, 1e308]])
 def test_box_step_on_non_finite_data_names_it(y_in):
     # Newton starts at residual nan; face enumeration must not read that as
     # "no feasible active set", nor admissibility as a proof of none
