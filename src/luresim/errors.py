@@ -89,12 +89,14 @@ class SolverDiverged(LureError):
 
 
 class NonFiniteDrift(LureError):
-    """The drift returned NaN or an infinity during a simulation.
+    """The drift returned NaN or an infinity during a simulation, or a
+    drift-advanced input whose squared norm overflows.
 
     Attributes
     ----------
     step_index : int
-        Index of the step whose drift-advanced input is not finite.
+        Index of the step whose drift-advanced input is not finite or
+        overflows.
     t : float
         Time at which the drift was evaluated.
     """

@@ -21,7 +21,7 @@ import numpy as np
 from . import sets
 from .errors import NonFiniteDrift, NotAdmissible, SolverDiverged
 from .moving import _stationary, hypomonotonicity_gap, lipschitz_constants
-from .step import SolverOptions, _advance, _StepPlan
+from .step import SolverOptions, _advance, _overflows, _StepPlan
 
 __all__ = ["Trajectory", "from_csv", "richardson_refine", "simulate", "to_csv"]
 
@@ -68,7 +68,8 @@ def simulate(sys, x0, t_final, n_steps, opts=None):
     NotAdmissible
         If the initial state decisively fails the admissibility test.
     NonFiniteDrift
-        If the drift-advanced input of a step is NaN or infinite.
+        If the drift-advanced input of a step is NaN or infinite, or its
+        squared norm overflows.
     SolverDiverged
         If an inner solve fails; the exception carries the step index and
         the partial trajectory accumulated so far.
@@ -116,9 +117,11 @@ def simulate(sys, x0, t_final, n_steps, opts=None):
         try:
             step = _advance(plan, times[i + 1], x, y_in, opts)
         except SolverDiverged as exc:
-            if not np.all(np.isfinite(y_in)):
+            if _overflows(y_in):
+                what = ("is not finite" if not np.isfinite(y_in).all()
+                        else "overflows the step input")
                 raise NonFiniteDrift(
-                    f"drift is not finite at step {i} (t = {times[i]:g})",
+                    f"drift {what} at step {i} (t = {times[i]:g})",
                     step_index=i, t=float(times[i]),
                 ) from exc
             exc.step_index = i

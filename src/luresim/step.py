@@ -23,7 +23,9 @@ simulate computes it once per run.
 There is one active-set enumerator, _active_set_enumerate. A polyhedron
 hands it its rows; box_vi_enumerate hands it a box's finite faces as rows,
 the faces of one coordinate forming one row group. It solves the subsets of
-one size together, by one stacked pseudo-inverse per chunk of ENUM_CHUNK.
+one size together, ENUM_CHUNK at a time, by _stacked_solve: one stacked LU
+solve on the blocks a determinant test certifies as well conditioned, one
+stacked pseudo-inverse on the rest.
 """
 
 from __future__ import annotations
@@ -104,16 +106,23 @@ def _norm(v):
     return math.sqrt(v.dot(v))
 
 
+def _overflows(y):
+    """True when ``||y||^2`` is not finite: a NaN, an infinity or overflow.
+
+    The test runs in Python floats, which overflow to inf silently.
+    """
+    y_list = y.tolist()
+    return not sum(map(operator.mul, y_list, y_list)) < math.inf
+
+
 def _reduced_input(c_mat, y, denom=1.0):
-    """``C y / denom``, all NaN when ``||y||^2`` is not finite.
+    """``C y / denom``, all NaN when :func:`_overflows` holds for y.
 
     A NaN or an infinity in y (0 * inf inside the product) or a y whose
     squares overflow (in the step's norms) would make numpy warn; a NaN q
-    instead reaches the solve's own "non-finite data" error. The test runs
-    in Python floats, which overflow to inf silently.
+    instead reaches the solve's own "non-finite data" error.
     """
-    y_list = y.tolist()
-    if not sum(map(operator.mul, y_list, y_list)) < math.inf:
+    if _overflows(y):
         return np.full(c_mat.shape[0], np.nan)
     return (c_mat @ y) / denom
 
@@ -194,6 +203,30 @@ def _newton_box(m_mat, q, lower, upper, opts):
     raise SolverDiverged(f"inner box solve stalled at residual {nf:.3e}", residual=nf)
 
 
+def _stacked_solve(lhs, rhs):
+    """Solve a stack of square systems ``lhs nu = rhs``, (N, s, s) by (N, s, 1).
+
+    A block with |det(lhs)| > 1e-10 ||lhs||_F^s is certified: its smallest
+    singular value then exceeds 1e-10 ||lhs||_F >= 1e-10 sigma_max (the
+    others are at most ||lhs||_F), so cond_2(lhs) < 1e10, pinv's cutoff
+    (1e-15 sigma_max) drops nothing and its answer is the exact inverse's, as
+    LU's is. Certified blocks go to one stacked LU solve; the rest, singular
+    or nearly singular, go to one stacked pinv, whose minimum-norm
+    least-squares solution they need. A block whose test overflows goes to
+    pinv too, which scales: |det| <= ||lhs||_F^s, so an infinite |det|
+    comes with an infinite right-hand side and fails the test.
+    """
+    with np.errstate(over="ignore"):
+        lu = np.abs(np.linalg.det(lhs)) > 1e-10 * np.linalg.norm(lhs, axis=(1, 2)) ** lhs.shape[1]
+    if lu.all():
+        return np.linalg.solve(lhs, rhs)
+    nu = np.empty_like(rhs)
+    nu[~lu] = np.linalg.pinv(lhs[~lu]) @ rhs[~lu]
+    if lu.any():
+        nu[lu] = np.linalg.solve(lhs[lu], rhs[lu])
+    return nu
+
+
 def _active_set_enumerate(a, b, m_mat, q, tol, groups=None):
     """All KKT-consistent multipliers of mu in N_{Ay<=b}(q - M mu).
 
@@ -203,12 +236,13 @@ def _active_set_enumerate(a, b, m_mat, q, tol, groups=None):
     the count of subsets examined. Raises NoSolution when no subset works;
     a candidate with a NaN fails every test.
 
-    The subsets of one size are solved together, ENUM_CHUNK at a time: one
-    stacked pinv gives each A_S M A_S^T nu = A_S q - b_S its minimum-norm
-    least-squares solution, with lstsq's cutoff, and the residual, sign and
-    feasibility tests run on whole arrays. The first least-norm candidate
-    in subset order (combinations of groups, then one row of each) wins a
-    tie, as it would one subset at a time.
+    The subsets of one size are solved together, ENUM_CHUNK at a time:
+    :func:`_stacked_solve` solves each A_S M A_S^T nu = A_S q - b_S by LU
+    where |det| > 1e-10 ||A_S M A_S^T||_F^s certifies the block (cond_2 <
+    1e10) and by pinv, the minimum-norm least-squares solution, elsewhere,
+    and the residual, sign and feasibility tests run on whole arrays. The
+    first least-norm candidate in subset order (combinations of groups,
+    then one row of each) wins a tie, as it would one subset at a time.
     """
     k, m_dim = a.shape
     if groups is None:
@@ -230,7 +264,7 @@ def _active_set_enumerate(a, b, m_mat, q, tol, groups=None):
             idx = np.array(chunk, dtype=np.intp)  # (N, s)
             lhs = gram[idx[:, :, None], idx[:, None, :]]
             rhs = slack[idx][:, :, None]
-            nu = np.linalg.pinv(lhs) @ rhs
+            nu = _stacked_solve(lhs, rhs)
             ok = np.abs(lhs @ nu - rhs).max(axis=(1, 2)) <= bound
             ok &= nu.min(axis=(1, 2)) >= -bound
             mu = (nu[ok].transpose(0, 2, 1) @ a[idx[ok]])[:, 0]  # rows nu^T A_S

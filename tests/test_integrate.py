@@ -416,7 +416,8 @@ def test_polyhedral_run_needs_no_scipy():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("bad", [[np.nan, np.nan], [np.inf, 0.0]], ids=["nan", "inf"])
+@pytest.mark.parametrize("bad", [[np.nan, np.nan], [np.inf, 0.0], [1e308, 1e308]],
+                         ids=["nan", "inf", "overflow"])
 def test_nan_drift_is_named_with_step_and_time(bad):
     ms = DecomposedMovingSet(lambda t: Box([-1.0, -1.0], [1.0, 1.0]),
                              np.zeros((2, 2)), lambda t: np.zeros(2))
