@@ -22,14 +22,18 @@ simulate computes it once per run.
 
 There is one active-set enumerator, _active_set_enumerate. A polyhedron
 hands it its rows; box_vi_enumerate hands it a box's finite faces as rows,
-the faces of one coordinate forming one row group. It solves the subsets of
-one size together, ENUM_CHUNK at a time, by _stacked_solve: one stacked LU
-solve on the blocks a determinant test certifies as well conditioned, one
-stacked pseudo-inverse on the rest.
+the faces of one coordinate forming one row group. It solves the subsets
+in stacks: consecutive sizes share a stack while it is small, narrower
+subsets padded to the widest with a dummy row, and a stack holds at most
+ENUM_CHUNK subsets. The stacks of a shape of at most ENUM_CHUNK subsets are
+built once and kept in a bounded cache. _stacked_solve solves each stack:
+one stacked LU solve on the blocks a determinant test certifies as well
+conditioned, one stacked pseudo-inverse on the rest.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -69,6 +73,16 @@ ENUM_MAX_M = 8
 # subsets per stacked solve of _active_set_enumerate, which bounds its memory
 # (at box_vi_enumerate's m = 12 cap one size holds up to 126,720 subsets)
 ENUM_CHUNK = 1024
+# shapes whose subset stacks _active_set_enumerate keeps (a polyhedron's
+# rows and widest subset, a box's pattern of finite faces), each of at most
+# ENUM_CHUNK subsets; a first pass of poly_steps meets 6 shapes, of
+# oracle_sweep 13
+PLAN_CACHE_SIZE = 32
+# largest stack of _active_set_enumerate that takes in the next subset size,
+# its subsets padded one row wider: up to about this many, the padding costs
+# less than the stacked solve it saves (measured on polyhedra of up to 10
+# rows and boxes of up to m = 10, BENCH_20.json)
+STACK_MERGE = 128
 
 
 @dataclass(frozen=True)
@@ -206,6 +220,9 @@ def _newton_box(m_mat, q, lower, upper, opts):
 def _stacked_solve(lhs, rhs):
     """Solve a stack of square systems ``lhs nu = rhs``, (N, s, s) by (N, s, 1).
 
+    s is the stack's width: the enumerator pads a narrower subset's block
+    up to it (see :func:`_active_set_enumerate`).
+
     A block with |det(lhs)| > 1e-10 ||lhs||_F^s is certified: its smallest
     singular value then exceeds 1e-10 ||lhs||_F >= 1e-10 sigma_max (the
     others are at most ||lhs||_F), so cond_2(lhs) < 1e10, pinv's cutoff
@@ -215,6 +232,10 @@ def _stacked_solve(lhs, rhs):
     least-squares solution they need. A block whose test overflows goes to
     pinv too, which scales: |det| <= ||lhs||_F^s, so an infinite |det|
     comes with an infinite right-hand side and fails the test.
+
+    On a padded block the test runs on the whole block; its cond_2 is at
+    least the real block's, so a certified padded block certifies the real
+    one, and LU leaves the pads' nu at exactly 0 as pinv does.
     """
     with np.errstate(over="ignore"):
         lu = np.abs(np.linalg.det(lhs)) > 1e-10 * np.linalg.norm(lhs, axis=(1, 2)) ** lhs.shape[1]
@@ -227,56 +248,138 @@ def _stacked_solve(lhs, rhs):
     return nu
 
 
+def _subset_count(groups, k, top):
+    """Non-empty subsets of at most ``top`` rows, at most one of each group."""
+    if groups is None:
+        return sum(math.comb(k, size) for size in range(1, top + 1))
+    counts = [1] + [0] * top  # counts[s]: subsets of s groups seen so far
+    for group in groups:
+        for size in range(top, 0, -1):
+            counts[size] += counts[size - 1] * len(group)
+    return sum(counts) - 1
+
+
+def _subset_stacks(groups, k, top, chunk):
+    """The non-empty subsets as stacks ``(idx, flat, pads)``, in subset order.
+
+    Subsets come by size, then as combinations of groups, then one row of
+    each. A stack holds at most ``chunk`` subsets; one of at most
+    STACK_MERGE subsets takes in subsets of the next size too, its narrower
+    subsets padded to the widest with the dummy row k. ``idx`` (N, s) holds
+    each subset's rows; ``flat`` indexes each block A_S M A_S^T in the
+    raveled (k + 1, k + 1) Gram matrix; ``pads`` indexes the pads' diagonal
+    entries of the stack, None when no subset is padded.
+    """
+    if groups is None:
+        groups = [(i,) for i in range(k)]
+    parts, held = [], 0
+    for size in range(1, top + 1):
+        if held > STACK_MERGE:
+            yield _stack(parts, k)
+            parts, held = [], 0
+        subsets = itertools.chain.from_iterable(
+            itertools.product(*chosen) for chosen in itertools.combinations(groups, size))
+        while part := list(itertools.islice(subsets, chunk - held)):
+            parts.append(np.array(part, dtype=np.intp))
+            held += len(part)
+            if held == chunk:
+                yield _stack(parts, k)
+                parts, held = [], 0
+    if parts:
+        yield _stack(parts, k)
+
+
+def _stack(parts, k):
+    # parts: (n, size) index arrays of rising size, padded to the last one's
+    idx = np.full((sum(map(len, parts)), parts[-1].shape[1]), k, dtype=np.intp)
+    start = 0
+    for part in parts:
+        idx[start:start + len(part), :part.shape[1]] = part
+        start += len(part)
+    flat = idx[:, :, None] * (k + 1) + idx[:, None, :]
+    pad_block, pad_slot = np.nonzero(idx == k)
+    return idx, flat, (pad_block, pad_slot, pad_slot) if pad_block.size else None
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _subset_plan(groups, k, top):
+    """:func:`_subset_stacks` of a shape, built once and kept.
+
+    The enumerator asks for a plan only for a shape of at most ENUM_CHUNK
+    subsets, whose stacks then do not depend on ENUM_CHUNK. The arrays are
+    shared by every call on the shape, hence read-only.
+    """
+    stacks = tuple(_subset_stacks(groups, k, top, ENUM_CHUNK))
+    for idx, flat, pads in stacks:
+        for arr in (idx, flat) + (pads[:2] if pads else ()):
+            arr.flags.writeable = False
+    return stacks
+
+
 def _active_set_enumerate(a, b, m_mat, q, tol, groups=None):
     """All KKT-consistent multipliers of mu in N_{Ay<=b}(q - M mu).
 
     mu = A_S^T nu with nu >= 0 on an active subset S of the rows that holds
-    at most one row of each group (by default every row is its own group);
-    returns the feasible candidate of least multiplier norm together with
-    the count of subsets examined. Raises NoSolution when no subset works;
-    a candidate with a NaN fails every test.
+    at most one row of each group (``groups``, a tuple of row-index tuples;
+    by default every row is its own group); returns the feasible
+    candidate of least multiplier norm together with the count of subsets
+    examined. Raises NoSolution when no subset works; a candidate with a NaN
+    fails every test.
 
-    The subsets of one size are solved together, ENUM_CHUNK at a time:
-    :func:`_stacked_solve` solves each A_S M A_S^T nu = A_S q - b_S by LU
-    where |det| > 1e-10 ||A_S M A_S^T||_F^s certifies the block (cond_2 <
-    1e10) and by pinv, the minimum-norm least-squares solution, elsewhere,
-    and the residual, sign and feasibility tests run on whole arrays. The
-    first least-norm candidate in subset order (combinations of groups,
-    then one row of each) wins a tie, as it would one subset at a time.
+    The subsets, of at most top = min(#groups, m) rows, are solved in the
+    stacks of :func:`_subset_stacks`: a stack of at most STACK_MERGE subsets
+    takes in the next size too, and its narrower subsets are padded with a
+    dummy row k, a zero row of A with zero slack and zero Gram coupling,
+    whose diagonal entry is the block's own largest |entry|. The pad's nu is
+    then exactly 0, so the residual, sign, feasibility and tie tests read as
+    on the real block; and sigma_max of the padded block is the real
+    block's, so pinv's cutoff is unchanged. The stacks of a shape (groups,
+    k, top) of at most ENUM_CHUNK subsets, :func:`_subset_plan`, are built
+    once and kept in a bounded cache; a larger shape streams them.
+
+    :func:`_stacked_solve` solves each block A_S M A_S^T nu = A_S q - b_S by
+    LU where |det| > 1e-10 ||block||_F^s certifies it (cond_2 < 1e10) and by
+    pinv, the minimum-norm least-squares solution, elsewhere, and the tests
+    run on whole arrays. The first least-norm candidate in subset order (by
+    size, combinations of groups, then one row of each) wins a tie, as it
+    would one subset at a time.
     """
     k, m_dim = a.shape
-    if groups is None:
-        groups = [(i,) for i in range(k)]
+    top = min(k if groups is None else len(groups), m_dim)
+    count = _subset_count(groups, k, top)
+    stacks = (_subset_plan(groups, k, top) if count <= ENUM_CHUNK
+              else _subset_stacks(groups, k, top, ENUM_CHUNK))
     scale = 1.0 + float(np.max(np.abs(q), initial=0.0)) + float(
         np.max(np.abs(b), initial=0.0))
     bound = tol * scale
     am = a @ m_mat
-    gram = am @ a.T  # a_i M a_j: every A_S M A_S^T is a block of it
     slack = a @ q - b  # a w - b at mu = 0
+    # the dummy row k: zero in A, in the Gram matrix and in the slack
+    a_pad = np.zeros((k + 1, m_dim))
+    a_pad[:k] = a
+    gram = np.zeros((k + 1, k + 1))
+    gram[:k, :k] = am @ a.T  # a_i M a_j: every A_S M A_S^T is a block of it
+    slack_pad = np.append(slack, 0.0)
     # the empty subset: mu = 0 needs no solve
     best = (0.0, np.zeros(m_dim)) if slack.max(initial=-np.inf) <= bound else None
-    examined = 1
-    for size in range(1, min(len(groups), m_dim) + 1):
-        subsets = itertools.chain.from_iterable(
-            itertools.product(*chosen) for chosen in itertools.combinations(groups, size))
-        while chunk := list(itertools.islice(subsets, ENUM_CHUNK)):
-            examined += len(chunk)
-            idx = np.array(chunk, dtype=np.intp)  # (N, s)
-            lhs = gram[idx[:, :, None], idx[:, None, :]]
-            rhs = slack[idx][:, :, None]
-            nu = _stacked_solve(lhs, rhs)
-            ok = np.abs(lhs @ nu - rhs).max(axis=(1, 2)) <= bound
-            ok &= nu.min(axis=(1, 2)) >= -bound
-            mu = (nu[ok].transpose(0, 2, 1) @ a[idx[ok]])[:, 0]  # rows nu^T A_S
-            mu = mu[(slack - mu @ am.T).max(axis=1) <= bound]
-            if mu.size:
-                nrm = np.linalg.norm(mu, axis=1)
-                j = int(np.argmin(nrm))
-                if best is None or nrm[j] < best[0]:
-                    best = (nrm[j], mu[j])
+    for idx, flat, pads in stacks:
+        lhs = gram.take(flat)
+        if pads is not None:
+            lhs[pads] = np.abs(lhs).max(axis=(1, 2))[pads[0]]
+        rhs = slack_pad.take(idx)[:, :, None]
+        nu = _stacked_solve(lhs, rhs)
+        ok = np.abs(lhs @ nu - rhs).max(axis=(1, 2)) <= bound
+        ok &= nu.min(axis=(1, 2)) >= -bound
+        mu = (nu[ok].transpose(0, 2, 1) @ a_pad[idx[ok]])[:, 0]  # rows nu^T A_S
+        mu = mu[(slack - mu @ am.T).max(axis=1) <= bound]
+        if mu.size:
+            nrm = np.linalg.norm(mu, axis=1)
+            j = int(np.argmin(nrm))
+            if best is None or nrm[j] < best[0]:
+                best = (nrm[j], mu[j])
     if best is None:
         raise NoSolution("no feasible active set")
-    return best[1], q - m_mat @ best[1], examined
+    return best[1], q - m_mat @ best[1], 1 + count
 
 
 def _solve_multiplier(k_set, box, m_mat, q, m_max, opts):
@@ -494,14 +597,14 @@ def box_vi_enumerate(m_mat, q, lower, upper, tol=1e-9):
         faces = [(s, f) for s, f in ((1.0, upper[i]), (-1.0, -lower[i]))
                  if math.isfinite(f)]
         if faces:
-            groups.append(range(len(b), len(b) + len(faces)))
+            groups.append(tuple(range(len(b), len(b) + len(faces))))
         for s, f in faces:
             coords.append(i)
             signs.append(s)
             b.append(f)
     a = np.zeros((len(b), m_dim))
     a[np.arange(len(b)), coords] = signs
-    return _active_set_enumerate(a, np.array(b, dtype=float), m_mat, q, tol, groups)
+    return _active_set_enumerate(a, np.array(b, dtype=float), m_mat, q, tol, tuple(groups))
 
 
 def brute_force_step_oracle(sys, t_next, x_prev, y_in, h, tol=1e-9):

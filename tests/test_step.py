@@ -1,6 +1,9 @@
 """Implicit step solver: closed forms, oracle agreement, contraction bounds."""
 
 import dataclasses
+import functools
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -278,6 +281,178 @@ def test_box_face_enumeration_of_huge_blocks_is_silent():
                                        -np.ones(3), np.ones(3))
     assert np.allclose(mu, q)
     assert examined == 27
+
+
+@functools.cache
+def _loop_reference_cases():
+    # the draws of test_active_set_enumerate_matches_loop_reference and
+    # test_box_face_enumeration_matches_loop_reference, each with the loop
+    # reference's outcome, computed once for every chunk size
+    rng = np.random.default_rng(14)
+    rows = []
+    for draw in range(400):
+        m, k = int(rng.integers(1, 5)), int(rng.integers(0, 17))
+        a = rng.normal(size=(k, m))
+        if k > 1 and rng.random() < 0.3:
+            a[1] = rng.choice([1.0, -1.0, 2.0]) * a[0]
+        b = rng.uniform(-0.5, 1.5, size=k)
+        q = 2.0 * rng.normal(size=m)
+        if draw % 50 == 0:
+            q[0] = np.nan
+        args = (a, b, _enumeration_matrix(rng, m), q, 1e-10)
+        rows.append((args, _outcome(active_set_enumerate_loop, *args)))
+    rng = np.random.default_rng(15)
+    boxes = []
+    for _ in range(150):
+        m = int(rng.integers(1, 6))
+        box = random_box(rng, m)
+        args = (_enumeration_matrix(rng, m), 2.0 * rng.normal(size=m),
+                box.lower, box.upper)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(step, "_active_set_enumerate", active_set_enumerate_loop)
+            boxes.append((args, _outcome(box_vi_enumerate, *args)))
+    return rows, boxes
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 7])
+def test_enumeration_across_chunk_boundaries_matches_loop_reference(
+        monkeypatch, chunk):
+    # stacks of `chunk` subsets mix sizes and pad widths. Each draw runs
+    # first at the default chunk and fills the plan cache; a plan holds all
+    # its shape's subsets, so under `chunk` it may be served only to a shape
+    # of at most `chunk` subsets, and no stack may be larger
+    rows, boxes = _loop_reference_cases()
+    stacked_solve = step._stacked_solve
+
+    def bounded(lhs, rhs):
+        assert len(lhs) <= chunk
+        return stacked_solve(lhs, rhs)
+
+    for enumerate_, cases in ((step._active_set_enumerate, rows),
+                              (box_vi_enumerate, boxes)):
+        for args, ref in cases:
+            _assert_same_outcome(_outcome(enumerate_, *args), ref)
+            with monkeypatch.context() as patch:
+                patch.setattr(step, "ENUM_CHUNK", chunk)
+                patch.setattr(step, "_stacked_solve", bounded)
+                _assert_same_outcome(_outcome(enumerate_, *args), ref)
+
+
+@pytest.mark.parametrize("merge", [0, 3])
+def test_stack_merge_matches_loop_reference(monkeypatch, merge):
+    # merge 0 solves one size per stack, 3 pads only the smallest stacks;
+    # a stack's subsets narrower than its widest were all held before it
+    # took in the widest size, so there are at most `merge` of them
+    rows, boxes = _loop_reference_cases()
+    stack = step._stack
+
+    def checked(parts, k):
+        assert sum(map(len, parts[:-1])) <= merge
+        return stack(parts, k)
+
+    monkeypatch.setattr(step, "STACK_MERGE", merge)
+    monkeypatch.setattr(step, "_stack", checked)
+    step._subset_plan.cache_clear()  # plans built under another merge
+    try:
+        for enumerate_, cases in ((step._active_set_enumerate, rows),
+                                  (box_vi_enumerate, boxes)):
+            for args, ref in cases:
+                _assert_same_outcome(_outcome(enumerate_, *args), ref)
+    finally:
+        step._subset_plan.cache_clear()
+
+
+def _scaled_enumeration(rng, case):
+    # subsets narrower than m are padded; "small" and "large" put blocks of
+    # cond_2 up to about 1e8 (two nearly parallel rows) at a scale far from
+    # 1, "zero_diagonal" puts [[0, 1e-3], [1e-3, 0]] on the faces e_0, e_1
+    m, k = int(rng.integers(3, 5)), int(rng.integers(4, 9))
+    if case == "zero_diagonal":
+        faces = np.concatenate([np.eye(m), -np.eye(m)])
+        a = faces[np.concatenate([[0, 1], 2 + rng.permutation(2 * m - 2)[:k - 2]])]
+        m_mat = np.zeros((m, m))
+        m_mat[0, 1] = m_mat[1, 0] = 1e-3
+        m_mat[2:, 2:] = random_psd(rng, m - 2, rank=m - 2) + np.eye(m - 2)
+    else:
+        a = rng.normal(size=(k, m))
+        a[1] = a[0] + 10.0 ** -rng.integers(1, 5) * rng.normal(size=m)
+        m_mat = (1e-8 if case == "small" else 1e8) * _enumeration_matrix(rng, m)
+    return a, rng.uniform(-0.5, 1.5, size=len(a)), m_mat, 2.0 * rng.normal(size=m), 1e-10
+
+
+@pytest.mark.parametrize("case", ["small", "large", "zero_diagonal"])
+def test_padded_blocks_solve_as_their_real_blocks(monkeypatch, case):
+    # the pads' diagonal follows the block's scale, so the real part of
+    # every padded answer is pinv(B) r of the unpadded block B and the pad
+    # part is 0
+    stacked_solve, sizes, padded = step._stacked_solve, [], []
+
+    def checked(lhs, rhs):
+        nu = stacked_solve(lhs, rhs)
+        stack, sizes[:] = sizes[:len(lhs)], sizes[len(lhs):]
+        padded.extend(size < lhs.shape[1] for size in stack)
+        for block, size in enumerate(stack):
+            real = slice(0, size)
+            ref = np.linalg.pinv(lhs[block, real, real]) @ rhs[block, real]
+            err = np.linalg.norm(nu[block, real] - ref)
+            assert not err > 1e-6 * (1.0 + np.linalg.norm(ref))
+            assert not nu[block, size:].any()
+        return nu
+
+    monkeypatch.setattr(step, "_stacked_solve", checked)
+    rng = np.random.default_rng(20)
+    for _ in range(40):
+        args = _scaled_enumeration(rng, case)
+        k, m = args[0].shape
+        sizes[:] = [size for size in range(1, m + 1)
+                    for _ in itertools.combinations(range(k), size)]
+        _assert_same_outcome(_outcome(step._active_set_enumerate, *args),
+                             _outcome(active_set_enumerate_loop, *args))
+        assert not sizes
+    assert any(padded)
+
+
+def test_subset_plan_cache_is_bounded():
+    # a counter, not a timer: distinct shapes past maxsize evict, a repeat
+    # shape hits, and a shape of more than ENUM_CHUNK subsets (a box at
+    # m = 8, 6,561 patterns) streams without touching the cache
+    plan = step._subset_plan
+    plan.cache_clear()
+    maxsize = plan.cache_info().maxsize
+    for k in range(1, maxsize + 6):
+        step._active_set_enumerate(np.ones((k, 1)), np.ones(k), np.eye(1),
+                                   np.zeros(1), 1e-10)
+    info = plan.cache_info()
+    assert info.misses == maxsize + 5
+    assert info.currsize == maxsize
+    step._active_set_enumerate(np.ones((maxsize + 5, 1)), np.ones(maxsize + 5),
+                               np.eye(1), np.zeros(1), 1e-10)
+    assert plan.cache_info().hits == info.hits + 1
+    info = plan.cache_info()
+    _, _, examined = box_vi_enumerate(np.eye(8), np.zeros(8), -np.ones(8), np.ones(8))
+    assert examined == 3 ** 8
+    assert plan.cache_info() == info
+
+
+def test_subset_plan_cache_memory_is_bounded():
+    # the cache filled with the plans of most subset entries it can hold
+    # (10 rows up to 10 wide, 1,023 subsets, and the like) keeps about 3.4 MB
+    shapes = sorted(((k, top) for k in range(1, step.ENUM_CHUNK + 1)
+                     for top in range(1, min(k, 12) + 1)
+                     if step._subset_count(None, k, top) <= step.ENUM_CHUNK),
+                    key=lambda shape: -sum(math.comb(shape[0], s) * s * s
+                                           for s in range(1, shape[1] + 1)))
+    step._subset_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        for k, top in shapes[:step.PLAN_CACHE_SIZE]:
+            step._subset_plan(None, k, top)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        step._subset_plan.cache_clear()
+    assert shapes[0] == (10, 10)
+    assert kept < 8 * 2**20
 
 
 def test_box_vi_enumerate_frozen_cases():
